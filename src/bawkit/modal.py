@@ -1,8 +1,9 @@
 """Mode extraction and figure-of-merit bookkeeping.
 
 fs is a local maximum of Re(Y) (conductance peak), fp the adjacent local
-minimum of |Y| above it.  Both are refined by golden-section search on a
-bracket taken from the coarse scan, to a relative frequency tolerance.
+minimum of |Y| above it.  Every fs and fp bracket taken from the coarse
+scan is refined at once by a batched zoom (one vector kernel call per
+pass over all open brackets), to a relative frequency tolerance.
 Modes are indexed by ascending fs within the analyzed band; no attempt is
 made to classify which physical overtone each one is.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.optimize import brentq
@@ -21,7 +23,9 @@ from .materials import ConfigError, Stack
 
 KEFF2_DEFINITIONS = ("separation", "ieee", "approx")
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# interior samples per bracket and zoom pass; each pass shrinks a bracket
+# by 2 / (_ZOOM_POINTS + 1)
+_ZOOM_POINTS = 32
 
 
 class ModeSearchError(RuntimeError):
@@ -102,37 +106,42 @@ def estimate_thickness(mode_order: int, velocity: float, frequency: float) -> fl
     return mode_order * velocity / (2.0 * frequency)
 
 
-def _golden_extremum(func, lo: float, hi: float, rel_tol: float,
-                     maximize: bool) -> float:
-    sign = 1.0 if maximize else -1.0
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = sign * func(c)
-    fd = sign * func(d)
-    while (b - a) > rel_tol * 0.5 * (a + b):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = sign * func(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = sign * func(d)
-    return 0.5 * (a + b)
+def _zoom_extrema(evaluate, lo: np.ndarray, hi: np.ndarray,
+                  maximize: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Refine every bracket [lo, hi] together; return the bracket midpoints.
+
+    A bracket with maximize set tracks the largest Re(Y), the others the
+    smallest |Y|.  Each pass samples all open brackets at _ZOOM_POINTS
+    interior points plus both ends in one evaluate call, then narrows each
+    to the two neighbours of its best sample.  A bracket closes once
+    (hi - lo) <= rel_tol * (lo + hi) / 2, or when it stops shrinking.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    t = np.linspace(0.0, 1.0, _ZOOM_POINTS + 2)
+    width = hi - lo
+    live = np.flatnonzero(width > rel_tol * 0.5 * (lo + hi))
+    while live.size:
+        f = lo[live, None] + width[live, None] * t
+        f[:, -1] = hi[live]
+        y = evaluate(f.ravel()).reshape(f.shape)
+        score = np.where(maximize[live, None], y.real, -np.abs(y))
+        best = np.argmax(score, axis=1)
+        rows = np.arange(live.size)
+        lo[live] = f[rows, np.maximum(best - 1, 0)]
+        hi[live] = f[rows, np.minimum(best + 1, _ZOOM_POINTS + 1)]
+        shrunk = hi[live] - lo[live] < width[live]
+        width[live] = hi[live] - lo[live]
+        live = live[shrunk & (width[live] > rel_tol * 0.5 *
+                              (lo[live] + hi[live]))]
+    return 0.5 * (lo + hi)
 
 
-def _interior_extrema(values: np.ndarray, maxima: bool) -> list[int]:
-    v = values
-    idx = []
-    for i in range(1, len(v) - 1):
-        if maxima:
-            if v[i] > v[i - 1] and v[i] > v[i + 1]:
-                idx.append(i)
-        else:
-            if v[i] < v[i - 1] and v[i] < v[i + 1]:
-                idx.append(i)
-    return idx
+def _interior_extrema(values: np.ndarray, maxima: bool) -> np.ndarray:
+    """Indices of strict interior maxima (or minima) of a 1-D array."""
+    v = values if maxima else -values
+    mid = v[1:-1]
+    return np.flatnonzero((mid > v[:-2]) & (mid > v[2:])) + 1
 
 
 def find_modes(stack: Stack, band: FrequencyGrid, max_modes: int, *,
@@ -141,7 +150,7 @@ def find_modes(stack: Stack, band: FrequencyGrid, max_modes: int, *,
     """Locate up to max_modes (fs, fp) pairs in the band and grade them.
 
     The band grid is the coarse scan; each conductance peak and the
-    adjacent |Y| minimum above it are refined by golden-section search.
+    adjacent |Y| minimum above it are refined together by a batched zoom.
     eta and Qm are evaluated at fs.  A trailing resonance whose fp lies
     beyond the band is dropped.
     """
@@ -152,57 +161,54 @@ def find_modes(stack: Stack, band: FrequencyGrid, max_modes: int, *,
             f"keff2 definition must be one of {KEFF2_DEFINITIONS}, "
             f"got {keff2_definition!r}")
     if backend == "bvp":
-        evaluate = lambda f: admittance_bvp(stack, f)  # noqa: E731
+        evaluate = partial(admittance_bvp, stack)
     elif backend == "mason":
-        evaluate = lambda f: admittance_mason(stack, f)  # noqa: E731
+        evaluate = partial(admittance_mason, stack)
     else:
         raise ConfigError(f"backend must be 'bvp' or 'mason', got {backend!r}")
 
     freqs = band.frequencies()
     y = evaluate(freqs)
-    re = y.real
-    mag = np.abs(y)
 
-    max_idx = _interior_extrema(re, maxima=True)
-    if not max_idx:
+    max_idx = _interior_extrema(y.real, maxima=True)
+    if not max_idx.size:
         raise ModeSearchError("no resonance found in band")
-    min_idx = _interior_extrema(mag, maxima=False)
+    min_idx = _interior_extrema(np.abs(y), maxima=False)
 
     # one extra peak past max_modes serves as the fp search boundary;
-    # anything beyond that never influences the result
+    # anything beyond that never influences the result.  The fp bracket
+    # of a peak is the first |Y| minimum before the next peak.
     max_idx = max_idx[:max_modes + 1]
+    fs_idx: list[int] = []
+    fp_idx: list[int] = []
+    for k, i in enumerate(max_idx[:max_modes]):
+        next_i = max_idx[k + 1] if k + 1 < len(max_idx) else len(freqs)
+        pos = np.searchsorted(min_idx, i, side="right")
+        fs_idx.append(i)
+        if pos == min_idx.size or min_idx[pos] >= next_i:
+            break
+        fp_idx.append(min_idx[pos])
 
-    fs_list = []
-    for i in max_idx:
-        fs = _golden_extremum(lambda f: evaluate(f).real,
-                              freqs[i - 1], freqs[i + 1], refine_tol,
-                              maximize=True)
-        fs_list.append((fs, i))
-    fs_list.sort()
-
-    pairs = []
-    for k, (fs, i_fs) in enumerate(fs_list[:max_modes]):
-        next_i = fs_list[k + 1][1] if k + 1 < len(fs_list) else len(freqs)
-        j_fp = next((j for j in min_idx if i_fs < j < next_i), None)
-        if j_fp is None:
-            if k + 1 < len(fs_list):
-                raise ModeSearchError(
-                    f"no |Y| minimum found between fs = {fs:.6g} Hz and the "
-                    f"next resonance; band appears malformed")
-            break  # trailing mode with fp beyond the band: drop it
-        fp = _golden_extremum(lambda f: abs(evaluate(f)),
-                              freqs[j_fp - 1], freqs[j_fp + 1], refine_tol,
-                              maximize=False)
+    centre = np.array(fs_idx + fp_idx)
+    refined = _zoom_extrema(evaluate, freqs[centre - 1], freqs[centre + 1],
+                            np.arange(centre.size) < len(fs_idx), refine_tol)
+    fs_all = refined[:len(fs_idx)].tolist()
+    pairs = list(zip(fs_all, refined[len(fs_idx):].tolist()))
+    for fs, fp in pairs:
         if not fp > fs:
             raise ModeSearchError(
                 f"refined fp = {fp:.6g} Hz does not sit above fs = {fs:.6g} Hz")
-        pairs.append((fs, fp))
-
+    # a peak without fp is malformed unless it is the last one in the band,
+    # whose fp lies beyond it: that trailing mode is dropped
+    if len(pairs) < len(fs_all) < len(max_idx):
+        raise ModeSearchError(
+            f"no |Y| minimum found between fs = {fs_all[-1]:.6g} Hz and the "
+            f"next resonance; band appears malformed")
     if not pairs:
         raise ModeSearchError("no resonance found in band")
 
     modes = []
-    for n, (fs, fp) in enumerate(pairs[:max_modes]):
+    for n, (fs, fp) in enumerate(pairs):
         profile = field_profile(stack, fs)
         partition = strain_energy(profile, stack)
         qm = qm_from_partition(partition, stack)

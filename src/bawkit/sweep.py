@@ -253,8 +253,9 @@ def read_sweep_csv(path) -> SweepResult:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or lines[0] != _CSV_HEADER:
         raise ConfigError(f"{path}: not a sweep CSV (bad header)")
-    tops: list[float] = []
-    bots: list[float] = []
+    # axis value -> position, in first-seen order
+    tops: dict[float, int] = {}
+    bots: dict[float, int] = {}
     recs = []
     n_modes = 0
     for ln in lines[1:]:
@@ -263,21 +264,16 @@ def read_sweep_csv(path) -> SweepResult:
             raise ConfigError(f"{path}: expected 12 columns, got {len(parts)}")
         t_top, t_bot, m = float(parts[0]), float(parts[1]), int(parts[2])
         n_modes = max(n_modes, m + 1)
-        if t_top not in tops:
-            tops.append(t_top)
-        if t_bot not in bots:
-            bots.append(t_bot)
-        recs.append((t_bot, t_top, m, parts[3:]))
+        i = tops.setdefault(t_top, len(tops))
+        j = bots.setdefault(t_bot, len(bots))
+        recs.append((j, i, m, parts[3:]))
     nb, nt = len(bots), len(tops)
     shape = (nb, nt, n_modes)
-    grids = {name: np.full(shape, np.nan) for name in
-             ("fs", "fs_norm", "keff2", "keff2_norm", "eta", "qm",
-              "fom", "fom_norm")}
-    mask = np.zeros((nb, nt), dtype=bool)
     order = ("fs", "fs_norm", "keff2", "keff2_norm", "eta", "qm",
              "fom", "fom_norm")
-    for t_bot, t_top, m, vals in recs:
-        j, i = bots.index(t_bot), tops.index(t_top)
+    grids = {name: np.full(shape, np.nan) for name in order}
+    mask = np.zeros((nb, nt), dtype=bool)
+    for j, i, m, vals in recs:
         if vals[-1] == "0":
             mask[j, i] = True
             continue
@@ -289,8 +285,9 @@ def read_sweep_csv(path) -> SweepResult:
         j, i = np.argwhere(ok)[0]
         f0 = grids["fs"][j, i, 0] / grids["fs_norm"][j, i, 0]
     return SweepResult(
-        top_thicknesses=np.asarray(tops), bottom_thicknesses=np.asarray(bots),
-        t_piezo=float(np.median(tops)), f0_piezo=f0,
+        top_thicknesses=np.asarray(list(tops)),
+        bottom_thicknesses=np.asarray(list(bots)),
+        t_piezo=float(np.median(list(tops))), f0_piezo=f0,
         mask=mask, **grids)
 
 

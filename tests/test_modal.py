@@ -5,13 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bawkit import (ConfigError, FrequencyGrid, ModeSearchError,
                     admittance_bvp, calibrate_piezo_stiffness,
                     estimate_frequency, estimate_thickness, export_modes_csv,
-                    find_modes, keff2, qm_from_partition)
+                    find_modes, keff2, modal, qm_from_partition)
 from bawkit.acoustic1d import EnergyPartition
 from bawkit.materials import Layer, Stack
 
@@ -61,10 +61,10 @@ def test_keff2_rejects_bad_pairs():
 @given(r1=st.floats(min_value=1.001, max_value=1.8),
        r2=st.floats(min_value=1.001, max_value=1.8))
 def test_keff2_increases_with_fp(r1, r2):
-    if r1 == r2:
-        return
     fs = 10e9
     lo, hi = sorted((r1, r2))
+    if fs * lo == fs * hi:
+        return  # distinct ratios can round to the same fp
     for definition in ("separation", "ieee", "approx"):
         assert (keff2(fs, fs * lo, definition=definition)
                 < keff2(fs, fs * hi, definition=definition))
@@ -258,6 +258,66 @@ def test_refinement_tolerance_stability(calibrated_stack):
     for a, b in zip(coarse, fine):
         assert abs(a.fs - b.fs) / b.fs < 1e-8
         assert abs(a.fp - b.fp) / b.fp < 1e-8
+
+
+@pytest.mark.parametrize("backend", ["bvp", "mason"])
+def test_refinement_call_budget(nominal, monkeypatch, backend):
+    name = f"admittance_{backend}"
+    kernel = getattr(modal, name)
+    calls = []
+
+    def counting(stack, f):
+        calls.append(np.ndim(f))
+        return kernel(stack, f)
+
+    monkeypatch.setattr(modal, name, counting)
+    modes = find_modes(nominal, FrequencyGrid(1.5e9, 34e9, 2201), 3,
+                       backend=backend)
+    assert len(modes) == 3
+    assert 0 not in calls, "scalar kernel call"
+    assert len(calls) <= 10
+
+
+@pytest.mark.parametrize("backend", ["bvp", "mason"])
+def test_default_tolerance_matches_tight_refinement(calibrated_stack,
+                                                    backend):
+    default = find_modes(calibrated_stack, CAL_BAND, 3, backend=backend)
+    tight = find_modes(calibrated_stack, CAL_BAND, 3, backend=backend,
+                       refine_tol=1e-12)
+    # a zero tolerance ends once the brackets stop shrinking
+    exact = find_modes(calibrated_stack, CAL_BAND, 3, backend=backend,
+                       refine_tol=0.0)
+    assert len(default) == len(tight) == len(exact) == 3
+    for b, *others in zip(tight, default, exact):
+        for a in others:
+            assert abs(a.fs - b.fs) / b.fs < 1e-9
+            assert abs(a.fp - b.fp) / b.fp < 1e-9
+
+
+def _interior_extrema_loop(v, maxima):
+    idx = []
+    for i in range(1, len(v) - 1):
+        if maxima:
+            if v[i] > v[i - 1] and v[i] > v[i + 1]:
+                idx.append(i)
+        elif v[i] < v[i - 1] and v[i] < v[i + 1]:
+            idx.append(i)
+    return idx
+
+
+@given(values=st.lists(st.sampled_from([0.0, 1.0, 2.0]) | st.floats(),
+                       max_size=40),
+       maxima=st.booleans())
+@example(values=[], maxima=True)
+@example(values=[1.0], maxima=False)
+@example(values=[0.0, 1.0], maxima=True)
+@example(values=[0.0, 1.0, 0.0], maxima=True)
+@example(values=[1.0, 0.0, 1.0], maxima=False)
+@example(values=[0.0, 1.0, 1.0, 0.0], maxima=True)
+def test_interior_extrema_matches_loop(values, maxima):
+    v = np.array(values, dtype=float)
+    got = modal._interior_extrema(v, maxima)
+    assert got.tolist() == _interior_extrema_loop(v, maxima)
 
 
 def test_find_modes_backend_choice(calibrated_stack):
