@@ -2,12 +2,15 @@
 
 Two independent backends evaluate the same physics:
 
-* ``admittance_bvp`` assembles the piecewise two-wave boundary-value
+* ``admittance_bvp`` poses the piecewise two-wave boundary-value
   problem (per-layer amplitudes plus the uniform electric displacement)
-  and solves the resulting linear system.  Production path.
+  and eliminates it layer by layer: the interface rows carry each
+  layer's wave amplitudes to the next, and the top boundary and the
+  unit-voltage rows close a 2x2 system per frequency.  Production path.
 * ``admittance_mason`` chains acoustic transmission-line transforms into
   the loaded-plate closed form.  Built-in physics oracle; the two must
-  agree to 1e-8 relative.
+  agree to 1e-8 relative.  The BVP works on wave amplitudes and never
+  forms an impedance, so the two share nothing past derive_constants.
 
 Conventions: harmonic time dependence exp(+j*omega*t); layer-local
 coordinate z runs from the bottom face of each layer; v_star takes the
@@ -133,102 +136,97 @@ class EnergyPartition:
 
 
 def _bvp_solve(stack: Stack, dc: DerivedConstants, freqs: np.ndarray):
-    """Solve the layered BVP at each frequency.
+    """Solve the layered BVP at each frequency by elimination.
+
+    The unknowns are the scaled wave amplitude pair (a_i, b_i) of each
+    layer and the scaled electric displacement delta = D * t_p /
+    (eps_star * V).  The bottom boundary row leaves one free amplitude
+    alpha.  Each interface's displacement and stress continuity rows
+    then give layer i+1's pair in closed form from layer i's pair and
+    delta, so every pair is alpha * P_i + delta * Q_i.  The top boundary
+    row and the unit-voltage row close a 2x2 system per frequency,
+    solved by Cramer's rule.  The BVP eliminates wave amplitudes while
+    the Mason backend chains impedances, so the two stay independent.
 
     Returns (x, u_scale) where x has shape (n, 2L+1): the scaled wave
-    amplitude pair of each layer followed by the scaled electric
-    displacement delta = D * t_p / (eps_star * V).
+    amplitude pair of each layer followed by delta.
     """
     n = freqs.shape[0]
     nlay = len(stack.layers)
-    m = 2 * nlay + 1
     ip = dc.piezo_index
     piezo = stack.layers[ip]
     pm = piezo.material
     omega = 2.0 * math.pi * freqs
+    jomega = 1j * omega
 
-    # Scales chosen so every nonzero entry is O(1/theta .. 1).
+    # Scales chosen so every coefficient is O(1/theta .. 1).
     u_scale = pm.e33 / pm.c33d if pm.e33 != 0.0 else 1.0
     zfac = [c / v for c, v in zip(dc.c_star, dc.v_star)]  # rho * v_star
     sref = abs(zfac[ip])
     s_lay = [z / sref * (1.0 if u_scale >= 0 else -1.0) for z in zfac]
-
-    theta = np.empty((nlay, n), dtype=complex)
-    for i, lay in enumerate(stack.layers):
-        theta[i] = omega * (lay.thickness / dc.v_star[i])
-    em = np.exp(-1j * theta)
-    ep = np.exp(1j * theta)
 
     # Coefficient of delta in the scaled stress rows.
     loss_fac = 1.0 - 1j * pm.tan_delta
     hd = pm.e33 * loss_fac / (piezo.thickness * sref * abs(u_scale)) / omega \
         if pm.e33 != 0.0 else np.zeros(n, dtype=complex)
 
-    a_mat = np.zeros((n, m, m), dtype=complex)
-    rhs = np.zeros((n, m), dtype=complex)
+    # pq[i] = (a_i, b_i), each a (2, n) array of the (P, Q) coefficients.
+    # Layer 0 follows from the bottom boundary row: zero displacement, or
+    # zero stress (with the piezoelectric term when the piezo is layer 0).
+    a0 = np.zeros((2, n), dtype=complex)
+    a0[0] = 1.0
+    b0 = -a0 if stack.boundary_bottom == "rigid" else a0.copy()
+    if stack.boundary_bottom == "free" and ip == 0:
+        b0[1] = (-1j / s_lay[0]) * hd
+    pq = [(a0, b0)]
 
-    # Bottom boundary, layer 0 at z = 0.
-    if stack.boundary_bottom == "free":
-        a_mat[:, 0, 0] = -1j * s_lay[0]
-        a_mat[:, 0, 1] = 1j * s_lay[0]
-        if ip == 0:
-            a_mat[:, 0, m - 1] = -hd
-    else:  # rigid: u = 0
-        a_mat[:, 0, 0] = 1.0
-        a_mat[:, 0, 1] = 1.0
-
-    # Interface continuity between layer i and i+1.
-    for i in range(nlay - 1):
-        ru = 1 + 2 * i
-        rt = 2 + 2 * i
-        ca, cb = 2 * i, 2 * i + 1
-        na, nb = 2 * (i + 1), 2 * (i + 1) + 1
-        a_mat[:, ru, ca] = em[i]
-        a_mat[:, ru, cb] = ep[i]
-        a_mat[:, ru, na] = -1.0
-        a_mat[:, ru, nb] = -1.0
-        a_mat[:, rt, ca] = -1j * s_lay[i] * em[i]
-        a_mat[:, rt, cb] = 1j * s_lay[i] * ep[i]
-        a_mat[:, rt, na] = 1j * s_lay[i + 1]
-        a_mat[:, rt, nb] = -1j * s_lay[i + 1]
+    for i, lay in enumerate(stack.layers):
+        ep = np.exp(jomega * (lay.thickness / dc.v_star[i]))
+        em = 1.0 / ep
+        a, b = pq[i]
+        ea = em * a
+        eb = ep * b
         if i == ip:
-            a_mat[:, rt, m - 1] = -hd
-        elif i + 1 == ip:
-            a_mat[:, rt, m - 1] = hd
+            # Unit-voltage row: delta - chi * (u(t_p) - u(0)) = 1.
+            chi = pm.e33 * u_scale / dc.eps_star
+            volt = chi * (a + b - ea - eb)
+            volt[1] += 1.0
+        if i == nlay - 1:
+            break
+        # Interface rows: a' + b' = ea + eb (displacement) and
+        # a' - b' = r * (ea - eb) + j * c * delta / s_{i+1} (stress), with
+        # c = -hd on the piezo's top face and +hd on its bottom face.
+        r = s_lay[i] / s_lay[i + 1]
+        na = (0.5 + 0.5 * r) * ea + (0.5 - 0.5 * r) * eb
+        nb = (0.5 - 0.5 * r) * ea + (0.5 + 0.5 * r) * eb
+        if ip in (i, i + 1):
+            dq = (0.5j if i + 1 == ip else -0.5j) / s_lay[i + 1] * hd
+            na[1] += dq
+            nb[1] -= dq
+        pq.append((na, nb))
 
-    # Top boundary, last layer at z = t.
-    rtop = 2 * nlay - 1
-    last = nlay - 1
+    # Top boundary row, last layer at z = t: zero stress or displacement.
     if stack.boundary_top == "free":
-        a_mat[:, rtop, 2 * last] = -1j * s_lay[last] * em[last]
-        a_mat[:, rtop, 2 * last + 1] = 1j * s_lay[last] * ep[last]
-        if ip == last:
-            a_mat[:, rtop, m - 1] = -hd
+        top = ea - eb
+        if ip == nlay - 1:
+            top[1] -= (1j / s_lay[-1]) * hd
     else:
-        a_mat[:, rtop, 2 * last] = em[last]
-        a_mat[:, rtop, 2 * last + 1] = ep[last]
+        top = ea + eb
 
-    # Unit-voltage constraint across the piezo layer.
-    chi = pm.e33 * u_scale / dc.eps_star
-    a_mat[:, m - 1, 2 * ip] = -chi * (em[ip] - 1.0)
-    a_mat[:, m - 1, 2 * ip + 1] = -chi * (ep[ip] - 1.0)
-    a_mat[:, m - 1, m - 1] = 1.0
-    rhs[:, m - 1] = 1.0
-
-    try:
-        x = np.linalg.solve(a_mat, rhs[:, :, np.newaxis])[:, :, 0]
-    except np.linalg.LinAlgError:
-        # Identify the offending frequency for the error message.
-        for i in range(n):
-            try:
-                np.linalg.solve(a_mat[i], rhs[i])
-            except np.linalg.LinAlgError:
-                raise SingularFrequencyError(float(freqs[i])) from None
-        raise
-    bad = ~np.all(np.isfinite(x), axis=1)
-    if np.any(bad):
+    with np.errstate(all="ignore"):
+        det = top[0] * volt[1] - top[1] * volt[0]
+        alpha = -top[1] / det
+        delta = top[0] / det
+        x = np.empty((2 * nlay + 1, n), dtype=complex)
+        for i, (a, b) in enumerate(pq):
+            x[2 * i] = alpha * a[0] + delta * a[1]
+            x[2 * i + 1] = alpha * b[0] + delta * b[1]
+        x[-1] = delta
+    finite = np.isfinite(x)
+    if not finite.all():
+        bad = ~finite.all(axis=0)
         raise SingularFrequencyError(float(freqs[np.argmax(bad)]))
-    return x, u_scale
+    return x.T, u_scale
 
 
 def _compose_rs(y_raw: np.ndarray, rs: float) -> np.ndarray:
@@ -457,8 +455,8 @@ def strain_energy(profile: FieldProfile, stack: Stack) -> EnergyPartition:
 
 def export_spectrum_csv(curve: AdmittanceCurve, path) -> None:
     """Write freq_hz,re_y_s,im_y_s rows with 17 significant digits."""
-    lines = ["freq_hz,re_y_s,im_y_s"]
-    for f, y in zip(curve.frequencies, curve.y):
-        lines.append(f"{f:.17g},{y.real:.17g},{y.imag:.17g}")
+    cols = np.column_stack((curve.frequencies, curve.y.real, curve.y.imag))
+    row = "%.17g,%.17g,%.17g\n"
+    body = (row * cols.shape[0]) % tuple(cols.ravel().tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("freq_hz,re_y_s,im_y_s\n" + body)

@@ -184,7 +184,6 @@ class DerivedConstants:
     v_star: tuple[complex, ...]
     z_acoustic: tuple[complex, ...]
     c0: complex
-    kt2_mat: float
     f0_piezo: float
     h_piezo: float
     eps_star: complex
@@ -215,13 +214,11 @@ def derive_constants(stack: Stack) -> DerivedConstants:
     c0 = eps_star * stack.area / piezo.thickness
     h = pm.e33 / pm.eps33s if pm.eps33s else 0.0
     f0 = v_star[ip].real / (2.0 * piezo.thickness)
-    kt2 = pm.kt2_mat if piezo.role == "piezo" else 0.0
     return DerivedConstants(
         c_star=tuple(c_star),
         v_star=tuple(v_star),
         z_acoustic=tuple(z_ac),
         c0=c0,
-        kt2_mat=kt2,
         f0_piezo=f0,
         h_piezo=h,
         eps_star=eps_star,

@@ -34,14 +34,16 @@ def plate(material, thickness, area=AREA_30UM, **kw):
                  area=area, **kw)
 
 
-def random_stack(rng, with_rs=True, with_rigid=True):
+def random_stack(rng, with_rs=True, with_rigid=True, tan_delta=0.0):
     """One piezo layer plus 0-4 passive layers with randomized constants.
 
     Thicknesses span 0.1x to 3x the piezo layer, q_mech spans 50 to 5000,
-    extra layers land on either side of the piezo at random.
+    extra layers land on either side of the piezo at random.  tan_delta
+    is the piezo's dielectric loss; it draws nothing from rng.
     """
     t_p = 250e-9
-    piezo = make_piezo(q_mech=float(rng.uniform(50, 5000)))
+    piezo = make_piezo(q_mech=float(rng.uniform(50, 5000)),
+                       tan_delta=tan_delta)
     layers = [Layer(piezo, t_p, "piezo")]
     for i in range(int(rng.integers(0, 5))):
         mat = make_metal(name=f"m{i}",

@@ -5,16 +5,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from bawkit import (ConfigError, FrequencyGrid, PhysicsError,
                     SingularFrequencyError, admittance_bvp, admittance_mason,
                     export_spectrum_csv, field_profile, spectrum,
                     strain_energy)
-from bawkit.acoustic1d import AdmittanceCurve
-from bawkit.materials import derive_constants
+from bawkit.acoustic1d import AdmittanceCurve, _bvp_solve
+from bawkit.materials import Layer, Stack, derive_constants
 
-from conftest import make_metal, make_piezo, plate, random_stack
+from conftest import (AREA_30UM, make_metal, make_piezo, plate,
+                      random_stack)
 
 # pinned from the closed-form backend at identical inputs; guards both
 # backends against silent drift
@@ -147,6 +150,124 @@ def test_singular_frequency_error_carries_frequency():
     assert "1230000000" in str(err)
 
 
+# -- BVP elimination vs dense assembly ---------------------------------------
+
+def _dense_bvp_reference(stack, freqs):
+    """Scaled BVP unknowns from the full (n, 2L+1, 2L+1) dense system.
+
+    Same rows and scaling as the production elimination, assembled as one
+    matrix per frequency and handed to np.linalg.solve.
+    """
+    n = freqs.shape[0]
+    dc = derive_constants(stack)
+    nlay = len(stack.layers)
+    m = 2 * nlay + 1
+    ip = dc.piezo_index
+    piezo = stack.layers[ip]
+    pm = piezo.material
+    omega = 2.0 * math.pi * freqs
+    u_scale = pm.e33 / pm.c33d if pm.e33 != 0.0 else 1.0
+    zfac = [c / v for c, v in zip(dc.c_star, dc.v_star)]
+    sref = abs(zfac[ip])
+    s_lay = [z / sref * (1.0 if u_scale >= 0 else -1.0) for z in zfac]
+    theta = np.array([omega * (lay.thickness / dc.v_star[i])
+                      for i, lay in enumerate(stack.layers)])
+    em = np.exp(-1j * theta)
+    ep = np.exp(1j * theta)
+    hd = pm.e33 * (1.0 - 1j * pm.tan_delta) / (
+        piezo.thickness * sref * abs(u_scale)) / omega
+
+    a_mat = np.zeros((n, m, m), dtype=complex)
+    if stack.boundary_bottom == "free":
+        a_mat[:, 0, 0] = -1j * s_lay[0]
+        a_mat[:, 0, 1] = 1j * s_lay[0]
+        if ip == 0:
+            a_mat[:, 0, m - 1] = -hd
+    else:
+        a_mat[:, 0, 0] = 1.0
+        a_mat[:, 0, 1] = 1.0
+    for i in range(nlay - 1):
+        ru, rt = 1 + 2 * i, 2 + 2 * i
+        a_mat[:, ru, 2 * i] = em[i]
+        a_mat[:, ru, 2 * i + 1] = ep[i]
+        a_mat[:, ru, 2 * i + 2] = -1.0
+        a_mat[:, ru, 2 * i + 3] = -1.0
+        a_mat[:, rt, 2 * i] = -1j * s_lay[i] * em[i]
+        a_mat[:, rt, 2 * i + 1] = 1j * s_lay[i] * ep[i]
+        a_mat[:, rt, 2 * i + 2] = 1j * s_lay[i + 1]
+        a_mat[:, rt, 2 * i + 3] = -1j * s_lay[i + 1]
+        if i == ip:
+            a_mat[:, rt, m - 1] = -hd
+        elif i + 1 == ip:
+            a_mat[:, rt, m - 1] = hd
+    last = nlay - 1
+    if stack.boundary_top == "free":
+        a_mat[:, m - 2, 2 * last] = -1j * s_lay[last] * em[last]
+        a_mat[:, m - 2, 2 * last + 1] = 1j * s_lay[last] * ep[last]
+        if ip == last:
+            a_mat[:, m - 2, m - 1] = -hd
+    else:
+        a_mat[:, m - 2, 2 * last] = em[last]
+        a_mat[:, m - 2, 2 * last + 1] = ep[last]
+    chi = pm.e33 * u_scale / dc.eps_star
+    a_mat[:, m - 1, 2 * ip] = -chi * (em[ip] - 1.0)
+    a_mat[:, m - 1, 2 * ip + 1] = -chi * (ep[ip] - 1.0)
+    a_mat[:, m - 1, m - 1] = 1.0
+    rhs = np.zeros((n, m, 1), dtype=complex)
+    rhs[:, m - 1] = 1.0
+    x = np.linalg.solve(a_mat, rhs)[:, :, 0]
+    y = 1j * omega * x[:, -1] * dc.eps_star / stack.t_piezo * stack.area
+    rs = stack.rs_electrical
+    return x, y / (1.0 + rs * y) if rs else y
+
+
+def _check_bvp_against_dense(stack, freqs):
+    x_ref, y_ref = _dense_bvp_reference(stack, freqs)
+    dc = derive_constants(stack)
+    x, _ = _bvp_solve(stack, dc, freqs)
+    y = admittance_bvp(stack, freqs)
+    scale = np.max(np.abs(x_ref), axis=1)
+    assert np.all(np.max(np.abs(x - x_ref), axis=1) <= 1e-10 * scale)
+    assert np.all(np.abs(y - y_ref) <= 1e-10 * np.abs(y_ref))
+    # a batched call is its row-by-row calls, bit for bit
+    for j, f in enumerate(freqs):
+        x_j, _ = _bvp_solve(stack, dc, freqs[j:j + 1])
+        assert np.array_equal(x_j[0], x[j])
+        assert admittance_bvp(stack, f) == y[j]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       tan_delta=st.sampled_from([0.0, 1e-3, 0.03]),
+       n=st.integers(min_value=1, max_value=40))
+@example(seed=0, tan_delta=0.0, n=1)
+def test_bvp_elimination_matches_dense_solve(seed, tan_delta, n):
+    rng = np.random.default_rng(seed)
+    stack = random_stack(rng, tan_delta=tan_delta)
+    freqs = np.sort(rng.uniform(0.5e9, 40e9, n))
+    _check_bvp_against_dense(stack, freqs)
+
+
+@pytest.mark.parametrize("below,above", [(0, 0), (0, 2), (1, 1), (2, 0),
+                                         (1, 3)])
+@pytest.mark.parametrize("bottom,top", [("free", "free"), ("rigid", "free"),
+                                        ("free", "rigid"), ("rigid", "rigid")])
+def test_bvp_elimination_matches_dense_on_layouts(below, above, bottom, top):
+    """Piezo first, last, in the middle and alone, under every end pair."""
+    pz = make_piezo(q_mech=800.0, tan_delta=0.01)
+    metals = [make_metal(name=f"m{i}", density=4000.0 + 3000.0 * i,
+                         c33e=(120 + 60 * i) * 1e9, q_mech=150.0 + 40 * i)
+              for i in range(below + above)]
+    layers = ([Layer(m, (0.3 + 0.4 * i) * 250e-9, "electrode")
+               for i, m in enumerate(metals[:below])]
+              + [Layer(pz, 250e-9, "piezo")]
+              + [Layer(m, (1.7 - 0.3 * i) * 250e-9, "electrode")
+                 for i, m in enumerate(metals[below:])])
+    stack = Stack(layers=tuple(layers), area=AREA_30UM, rs_electrical=1.5,
+                  boundary_bottom=bottom, boundary_top=top)
+    _check_bvp_against_dense(stack, np.linspace(0.5e9, 40e9, 97))
+
+
 # -- spectrum ----------------------------------------------------------------
 
 def test_spectrum_composes_single_point_calls(nominal):
@@ -203,6 +324,42 @@ def test_spectrum_csv_round_trip(nominal, tmp_path):
         assert float(row[0]) == f
         assert float(row[1]) == y.real
         assert float(row[2]) == y.imag
+
+
+def _csv_by_rows(curve):
+    """The one-f-string-per-row export that export_spectrum_csv replaced."""
+    lines = ["freq_hz,re_y_s,im_y_s"]
+    for f, y in zip(curve.frequencies, curve.y):
+        lines.append(f"{f:.17g},{y.real:.17g},{y.imag:.17g}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _special_curve():
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, -1e-300,
+                1e300, -1e300, 5e-324, 1.0 / 3.0, -2.5e9]
+    freqs = np.array([-math.inf, -1e300, -1e-300, -0.0, 5e-324, 1e-300,
+                      1.0 / 3.0, 13e9, 1e300, math.inf])
+    re = np.array([specials[i % len(specials)] for i in range(freqs.size)])
+    im = np.array([specials[(5 * i + 3) % len(specials)]
+                   for i in range(freqs.size)])
+    y = np.empty(freqs.size, dtype=complex)
+    y.real = re
+    y.imag = im
+    return AdmittanceCurve(frequencies=freqs, y=y, provenance="measured")
+
+
+@pytest.mark.parametrize("which", ["special", "spectrum", "empty"])
+def test_spectrum_csv_matches_row_formatting(nominal, tmp_path, which):
+    if which == "special":
+        curve = _special_curve()
+    elif which == "spectrum":
+        curve = spectrum(nominal, FrequencyGrid(0.5e9, 40e9, 301))
+    else:
+        curve = AdmittanceCurve(frequencies=np.array([]), y=np.array([]),
+                                provenance="measured")
+    path = tmp_path / "spectrum.csv"
+    export_spectrum_csv(curve, path)
+    assert path.read_bytes() == _csv_by_rows(curve)
 
 
 # -- field_profile -----------------------------------------------------------
