@@ -12,6 +12,12 @@ Two independent backends evaluate the same physics:
   agree to 1e-8 relative.  The BVP works on wave amplitudes and never
   forms an impedance, so the two share nothing past derive_constants.
 
+Strain energies come from the same elimination: its per-layer (P, Q)
+coefficient pairs give the wave amplitudes, and the two-wave energy
+integral has a closed form, so find_modes grades all of a stack's modes
+from one batched solve at their fs values; field_profile samples the
+fields only for plotting.
+
 Conventions: harmonic time dependence exp(+j*omega*t); layer-local
 coordinate z runs from the bottom face of each layer; v_star takes the
 principal square root so forward-propagating waves decay.  The drive is
@@ -148,8 +154,12 @@ def _bvp_solve(stack: Stack, dc: DerivedConstants, freqs: np.ndarray):
     solved by Cramer's rule.  The BVP eliminates wave amplitudes while
     the Mason backend chains impedances, so the two stay independent.
 
-    Returns (x, u_scale) where x has shape (n, 2L+1): the scaled wave
-    amplitude pair of each layer followed by delta.
+    Returns the elimination state (pq, alpha, delta, u_scale): pq[i] is
+    layer i's (P, Q) coefficient pair as two (2, n) arrays, one for each
+    of a_i and b_i, and alpha and delta are (n,) arrays.  Callers that
+    need the amplitudes assemble them with _wave_amplitudes.  Raises
+    SingularFrequencyError at the first frequency where alpha or delta
+    is not finite.
     """
     n = freqs.shape[0]
     nlay = len(stack.layers)
@@ -217,16 +227,27 @@ def _bvp_solve(stack: Stack, dc: DerivedConstants, freqs: np.ndarray):
         det = top[0] * volt[1] - top[1] * volt[0]
         alpha = -top[1] / det
         delta = top[0] / det
-        x = np.empty((2 * nlay + 1, n), dtype=complex)
-        for i, (a, b) in enumerate(pq):
-            x[2 * i] = alpha * a[0] + delta * a[1]
-            x[2 * i + 1] = alpha * b[0] + delta * b[1]
-        x[-1] = delta
-    finite = np.isfinite(x)
-    if not finite.all():
-        bad = ~finite.all(axis=0)
+    bad = ~(np.isfinite(alpha) & np.isfinite(delta))
+    if bad.any():
         raise SingularFrequencyError(float(freqs[np.argmax(bad)]))
-    return x.T, u_scale
+    return pq, alpha, delta, u_scale
+
+
+def _wave_amplitudes(pq, alpha: np.ndarray, delta: np.ndarray,
+                     freqs: np.ndarray) -> np.ndarray:
+    """Scaled wave amplitudes alpha * P + delta * Q of every layer.
+
+    Returns an (L, 2, n) array: the (a_i, b_i) pair of layer i at each
+    frequency, in units of u_scale.  Raises SingularFrequencyError at the
+    first frequency where an amplitude is not finite.
+    """
+    coef = np.array(pq)  # (L, 2, 2, n): layer, wave, (P, Q), frequency
+    with np.errstate(all="ignore"):
+        amps = alpha * coef[:, :, 0] + delta * coef[:, :, 1]
+    bad = ~np.isfinite(amps).all(axis=(0, 1))
+    if bad.any():
+        raise SingularFrequencyError(float(freqs[np.argmax(bad)]))
+    return amps
 
 
 def _compose_rs(y_raw: np.ndarray, rs: float) -> np.ndarray:
@@ -247,8 +268,7 @@ def admittance_bvp(stack: Stack, f) -> complex | np.ndarray:
     if np.any(freqs <= 0):
         raise ConfigError("frequencies must be > 0")
     dc = derive_constants(stack)
-    x, _ = _bvp_solve(stack, dc, freqs)
-    delta = x[:, -1]
+    _, _, delta, _ = _bvp_solve(stack, dc, freqs)
     t_p = stack.t_piezo
     d_field = delta * dc.eps_star / t_p
     y_raw = 1j * (2.0 * math.pi * freqs) * d_field * stack.area
@@ -357,6 +377,8 @@ def spectrum(stack: Stack, grid: FrequencyGrid, backend: str = "bvp") -> Admitta
 def field_profile(stack: Stack, f: float, points_per_layer: int = 64) -> FieldProfile:
     """Displacement and stress profile at one frequency (unit drive).
 
+    For plotting and inspection: find_modes takes its energies from one
+    batched solve at all of its fs values and samples no profile.
     points_per_layer is clamped to at least 64 samples per layer; both
     layer endpoints are included.
     """
@@ -367,15 +389,14 @@ def field_profile(stack: Stack, f: float, points_per_layer: int = 64) -> FieldPr
         raise ConfigError("frequency must be > 0")
     dc = derive_constants(stack)
     freqs = np.array([f])
-    x, u_scale = _bvp_solve(stack, dc, freqs)
-    x = x[0]
+    pq, alpha, delta, u_scale = _bvp_solve(stack, dc, freqs)
+    amplitudes = u_scale * _wave_amplitudes(pq, alpha, delta, freqs)[:, :, 0]
     ip = dc.piezo_index
     piezo = stack.layers[ip]
     pm = piezo.material
     omega = 2.0 * math.pi * f
 
-    delta = x[-1]
-    d_field = delta * dc.eps_star / piezo.thickness
+    d_field = delta[0] * dc.eps_star / piezo.thickness
     hd = (pm.e33 / pm.eps33s) * d_field if pm.e33 != 0.0 else 0.0
 
     amps = []
@@ -384,8 +405,7 @@ def field_profile(stack: Stack, f: float, points_per_layer: int = 64) -> FieldPr
     t_layers = []
     z0 = 0.0
     for i, lay in enumerate(stack.layers):
-        a = u_scale * x[2 * i]
-        b = u_scale * x[2 * i + 1]
+        a, b = amplitudes[i]
         amps.append((complex(a), complex(b)))
         k = omega / dc.v_star[i]
         z_loc = np.linspace(0.0, lay.thickness, points_per_layer)
@@ -412,21 +432,55 @@ def field_profile(stack: Stack, f: float, points_per_layer: int = 64) -> FieldPr
     )
 
 
-def _two_wave_integral(a: complex, b: complex, k: complex, t: float) -> float:
-    """Closed form of int_0^t |d/dz (a e^{-jkz} + b e^{jkz})|^2 dz."""
+def _two_wave_integrals(a: np.ndarray, b: np.ndarray, k: np.ndarray,
+                        t: np.ndarray) -> np.ndarray:
+    """Closed form of int_0^t |d/dz (a e^{-jkz} + b e^{jkz})|^2 dz.
+
+    Elementwise over amplitude pairs (a, b), wavenumbers k and layer
+    thicknesses t, which broadcast together.
+    """
     kr = k.real
     ki = k.imag
-    if ki != 0.0:
-        ia = math.expm1(2.0 * ki * t) / (2.0 * ki)
-        ib = -math.expm1(-2.0 * ki * t) / (2.0 * ki)
-    else:
-        ia = t
-        ib = t
-    cross_kernel = (1.0 - complex(math.cos(2.0 * kr * t),
-                                  -math.sin(2.0 * kr * t))) / (2j * kr)
-    icross = -2.0 * (a * b.conjugate() * cross_kernel).real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ia = np.where(ki != 0.0, np.expm1(2.0 * ki * t) / (2.0 * ki), t)
+        ib = np.where(ki != 0.0, -np.expm1(-2.0 * ki * t) / (2.0 * ki), t)
+    cross_kernel = (1.0 - np.exp(-2j * kr * t)) / (2j * kr)
+    icross = -2.0 * (a * b.conj() * cross_kernel).real
     mag_k2 = kr * kr + ki * ki
-    return mag_k2 * ((abs(a) ** 2) * ia + (abs(b) ** 2) * ib + icross)
+    return mag_k2 * (np.abs(a) ** 2 * ia + np.abs(b) ** 2 * ib + icross)
+
+
+def _partitions(stack: Stack, dc: DerivedConstants, freqs: np.ndarray,
+                amplitudes: np.ndarray) -> list[EnergyPartition]:
+    """Energy partition at each frequency from the (L, 2, n) wave
+    amplitudes in metres, integrated over all layers and frequencies at
+    once."""
+    layers = stack.layers
+    c_eff = np.array([lay.material.c33d if lay.role == "piezo"
+                      else lay.material.c33e for lay in layers])
+    thickness = np.array([lay.thickness for lay in layers])[:, None]
+    k = 2.0 * math.pi * freqs / np.array(dc.v_star)[:, None]
+    integral = _two_wave_integrals(amplitudes[:, 0], amplitudes[:, 1], k,
+                                   thickness)
+    u_per = (0.25 * stack.area * c_eff)[:, None] * integral
+    partitions = []
+    for row in u_per.T.tolist():
+        total = sum(row)
+        if total == 0.0:
+            raise PhysicsError("no acoustic excitation at this frequency")
+        partitions.append(EnergyPartition(
+            per_layer=tuple(row), total=total,
+            eta=row[dc.piezo_index] / total))
+    return partitions
+
+
+def _energy_partitions(stack: Stack, freqs: np.ndarray) -> list[EnergyPartition]:
+    """strain_energy(field_profile(stack, f), stack) at every f in freqs,
+    from the amplitudes of one batched solve (no profile is sampled)."""
+    dc = derive_constants(stack)
+    pq, alpha, delta, u_scale = _bvp_solve(stack, dc, freqs)
+    amplitudes = u_scale * _wave_amplitudes(pq, alpha, delta, freqs)
+    return _partitions(stack, dc, freqs, amplitudes)
 
 
 def strain_energy(profile: FieldProfile, stack: Stack) -> EnergyPartition:
@@ -437,20 +491,9 @@ def strain_energy(profile: FieldProfile, stack: Stack) -> EnergyPartition:
     """
     if len(profile.amplitudes) != len(stack.layers):
         raise ConfigError("profile does not match the stack layer count")
-    dc = derive_constants(stack)
-    omega = 2.0 * math.pi * profile.frequency
-    u_per = []
-    for i, lay in enumerate(stack.layers):
-        c_eff = lay.material.c33d if lay.role == "piezo" else lay.material.c33e
-        k = complex(omega / dc.v_star[i])
-        a, b = profile.amplitudes[i]
-        integral = _two_wave_integral(a, b, k, lay.thickness)
-        u_per.append(0.25 * stack.area * c_eff * integral)
-    total = sum(u_per)
-    if total == 0.0:
-        raise PhysicsError("no acoustic excitation at this frequency")
-    eta = u_per[dc.piezo_index] / total
-    return EnergyPartition(per_layer=tuple(u_per), total=total, eta=eta)
+    amplitudes = np.array(profile.amplitudes)[:, :, None]
+    return _partitions(stack, derive_constants(stack),
+                       np.array([profile.frequency]), amplitudes)[0]
 
 
 def export_spectrum_csv(curve: AdmittanceCurve, path) -> None:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .acoustic1d import AdmittanceCurve
 from .materials import ConfigError
@@ -449,6 +448,10 @@ def fit_mbvd(curve: AdmittanceCurve,
             out[:freqs.size, i] = col.real
             out[freqs.size:, i] = col.imag
         return out
+
+    # imported here so that only a fit pays for loading scipy.optimize,
+    # which would otherwise be most of the time of `import bawkit`
+    from scipy.optimize import least_squares
 
     sol = least_squares(residuals, x0, jac=jacobian, method="lm",
                         xtol=1e-14, ftol=1e-14, gtol=1e-14,

@@ -4,8 +4,10 @@ fs is a local maximum of Re(Y) (conductance peak), fp the adjacent local
 minimum of |Y| above it.  Every fs and fp bracket taken from the coarse
 scan is refined at once by a batched zoom (one vector kernel call per
 pass over all open brackets), to a relative frequency tolerance.
-Modes are indexed by ascending fs within the analyzed band; no attempt is
-made to classify which physical overtone each one is.
+eta and Qm of every mode come from the wave amplitudes of one batched BVP
+solve at all the fs values.  Modes are indexed by ascending fs within the
+analyzed band; no attempt is made to classify which physical overtone
+each one is.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .acoustic1d import EnergyPartition, FrequencyGrid, admittance_bvp, \
-    admittance_mason, field_profile, strain_energy
+from .acoustic1d import EnergyPartition, FrequencyGrid, _energy_partitions, \
+    admittance_bvp, admittance_mason
 from .materials import ConfigError, Stack
 
 KEFF2_DEFINITIONS = ("separation", "ieee", "approx")
@@ -151,8 +152,8 @@ def find_modes(stack: Stack, band: FrequencyGrid, max_modes: int, *,
 
     The band grid is the coarse scan; each conductance peak and the
     adjacent |Y| minimum above it are refined together by a batched zoom.
-    eta and Qm are evaluated at fs.  A trailing resonance whose fp lies
-    beyond the band is dropped.
+    eta and Qm are evaluated at fs, for all modes in one BVP solve.  A
+    trailing resonance whose fp lies beyond the band is dropped.
     """
     if max_modes < 1:
         raise ConfigError(f"max_modes must be >= 1, got {max_modes}")
@@ -207,10 +208,9 @@ def find_modes(stack: Stack, band: FrequencyGrid, max_modes: int, *,
     if not pairs:
         raise ModeSearchError("no resonance found in band")
 
+    partitions = _energy_partitions(stack, refined[:len(pairs)])
     modes = []
-    for n, (fs, fp) in enumerate(pairs):
-        profile = field_profile(stack, fs)
-        partition = strain_energy(profile, stack)
+    for n, ((fs, fp), partition) in enumerate(zip(pairs, partitions)):
         qm = qm_from_partition(partition, stack)
         k2 = keff2(fs, fp, keff2_definition)
         modes.append(ModeSummary(
@@ -247,6 +247,8 @@ def calibrate_piezo_stiffness(stack: Stack, target_fs: float,
     matching the measured fundamental with a single scalar on c33e is the
     documented way to anchor the model.  Returns (calibrated stack, scale).
     The band must contain the chosen mode for every scale in the bracket.
+    The scale is found by a bracketed secant search and is good to rel_tol
+    relative; fs itself is only as fine as find_modes' 1e-9 refinement.
     """
     ip = stack.piezo_index
     base_mat = stack.layers[ip].material
@@ -271,5 +273,35 @@ def calibrate_piezo_stiffness(stack: Stack, target_fs: float,
             f"target fs = {target_fs:.6g} Hz not reachable: scale bracket "
             f"[{lo:g}, {hi:g}] moves mode {mode_index} over "
             f"[{g_lo + target_fs:.6g}, {g_hi + target_fs:.6g}] Hz")
-    scale = brentq(objective, lo, hi, xtol=rel_tol, rtol=1e-12)
+    scale = _bracketed_secant(objective, lo, g_lo, hi, g_hi, rel_tol)
     return rescaled(scale), scale
+
+
+def _bracketed_secant(g, x0: float, g0: float, x1: float, g1: float,
+                      rel_tol: float) -> float:
+    """Root of g between x0 and x1, where g0 and g1 differ in sign.
+
+    Regula falsi with the Pegasus weighting (Dowell and Jarratt, BIT 12,
+    1972): each step is the secant through the two bracket ends, kept
+    half a tolerance inside them.  When the new point lands on the same
+    side as the last one, the far end's g is scaled by g1 / (g1 + g2),
+    so that end cannot stall.  Stops once the bracket is at most rel_tol
+    wide relative to its midpoint, and returns the midpoint (or a point
+    where g is exactly zero).
+    """
+    for x, gx in ((x0, g0), (x1, g1)):
+        if gx == 0.0:
+            return x
+    while abs(x1 - x0) > rel_tol * 0.5 * abs(x0 + x1):
+        margin = rel_tol * 0.25 * abs(x0 + x1)
+        x2 = x1 - g1 * (x1 - x0) / (g1 - g0)
+        x2 = min(max(x2, min(x0, x1) + margin), max(x0, x1) - margin)
+        g2 = g(x2)
+        if g2 == 0.0:
+            return x2
+        if g2 * g1 < 0:
+            x0, g0 = x1, g1
+        else:
+            g0 *= g1 / (g1 + g2)
+        x1, g1 = x2, g2
+    return 0.5 * (x0 + x1)

@@ -13,7 +13,8 @@ from bawkit import (ConfigError, FrequencyGrid, PhysicsError,
                     SingularFrequencyError, admittance_bvp, admittance_mason,
                     export_spectrum_csv, field_profile, spectrum,
                     strain_energy)
-from bawkit.acoustic1d import AdmittanceCurve, _bvp_solve
+from bawkit.acoustic1d import (AdmittanceCurve, _bvp_solve,
+                               _energy_partitions, _wave_amplitudes)
 from bawkit.materials import Layer, Stack, derive_constants
 
 from conftest import (AREA_30UM, make_metal, make_piezo, plate,
@@ -221,17 +222,25 @@ def _dense_bvp_reference(stack, freqs):
     return x, y / (1.0 + rs * y) if rs else y
 
 
+def _bvp_unknowns(stack, dc, freqs):
+    """The elimination's (n, 2L+1) unknowns: every layer's scaled (a, b)
+    pair from the amplitude assembly, then delta."""
+    pq, alpha, delta, _ = _bvp_solve(stack, dc, freqs)
+    amps = _wave_amplitudes(pq, alpha, delta, freqs)
+    return np.vstack([amps.reshape(-1, freqs.size), delta]).T
+
+
 def _check_bvp_against_dense(stack, freqs):
     x_ref, y_ref = _dense_bvp_reference(stack, freqs)
     dc = derive_constants(stack)
-    x, _ = _bvp_solve(stack, dc, freqs)
+    x = _bvp_unknowns(stack, dc, freqs)
     y = admittance_bvp(stack, freqs)
     scale = np.max(np.abs(x_ref), axis=1)
     assert np.all(np.max(np.abs(x - x_ref), axis=1) <= 1e-10 * scale)
     assert np.all(np.abs(y - y_ref) <= 1e-10 * np.abs(y_ref))
     # a batched call is its row-by-row calls, bit for bit
     for j, f in enumerate(freqs):
-        x_j, _ = _bvp_solve(stack, dc, freqs[j:j + 1])
+        x_j = _bvp_unknowns(stack, dc, freqs[j:j + 1])
         assert np.array_equal(x_j[0], x[j])
         assert admittance_bvp(stack, f) == y[j]
 
@@ -427,23 +436,29 @@ def test_eta_rises_as_electrodes_thin(nominal):
 
 
 def test_energy_partition_matches_dense_quadrature(nominal):
-    """Production per-layer energies vs 1024-node Gauss-Legendre."""
-    f = 13.0e9
-    prof = field_profile(nominal, f)
-    part = strain_energy(prof, nominal)
+    """Production per-layer energies vs 1024-node Gauss-Legendre, from a
+    field profile and from the batched solve find_modes uses."""
+    freqs = np.array([5.0e9, 13.0e9, 21.0e9])
+    batched = _energy_partitions(nominal, freqs)
     dc = derive_constants(nominal)
-    omega = 2 * math.pi * f
     nodes, weights = np.polynomial.legendre.leggauss(1024)
-    for i, lay in enumerate(nominal.layers):
-        a, b = prof.amplitudes[i]
-        k = omega / dc.v_star[i]
-        z = 0.5 * lay.thickness * (nodes + 1.0)
-        w = 0.5 * lay.thickness * weights
-        du = -1j * k * a * np.exp(-1j * k * z) + 1j * k * b * np.exp(1j * k * z)
-        u_i = nominal.area / 4.0 * dc.c_star[i].real * np.sum(w * np.abs(du) ** 2)
-        assert u_i == pytest.approx(part.per_layer[i], rel=1e-8)
-    assert sum(part.per_layer) == pytest.approx(part.total, rel=1e-12)
-    assert part.per_layer[1] / part.total == pytest.approx(part.eta, rel=1e-12)
+    for f, batch_part in zip(freqs, batched):
+        prof = field_profile(nominal, f)
+        omega = 2 * math.pi * f
+        for part in (strain_energy(prof, nominal), batch_part):
+            for i, lay in enumerate(nominal.layers):
+                a, b = prof.amplitudes[i]
+                k = omega / dc.v_star[i]
+                z = 0.5 * lay.thickness * (nodes + 1.0)
+                w = 0.5 * lay.thickness * weights
+                du = (-1j * k * a * np.exp(-1j * k * z)
+                      + 1j * k * b * np.exp(1j * k * z))
+                u_i = nominal.area / 4.0 * dc.c_star[i].real * np.sum(
+                    w * np.abs(du) ** 2)
+                assert u_i == pytest.approx(part.per_layer[i], rel=1e-8)
+            assert sum(part.per_layer) == pytest.approx(part.total, rel=1e-12)
+            assert part.per_layer[1] / part.total == pytest.approx(
+                part.eta, rel=1e-12)
 
 
 def test_no_excitation_error():

@@ -1,9 +1,15 @@
 """Command-line behavior: flags, exit codes, files, determinism."""
 
 import importlib.resources
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import bawkit
 import bawkit.cli as cli
 from bawkit import nominal_stack
 from bawkit.materials import ConfigError, serialize_stack
@@ -241,6 +247,30 @@ def test_fit_nonconvergence_exits_5(tmp_path, monkeypatch, capsys):
     assert code == 5
     assert "converged: false" in (out / "fit_report.txt").read_text()
     capsys.readouterr()
+
+
+def test_only_fit_loads_scipy(tmp_path):
+    """Importing the package and its CLI leaves scipy unloaded; a fit
+    still works afterwards and loads it then."""
+    script = textwrap.dedent(f"""
+        import sys
+        import bawkit
+        import bawkit.cli
+        assert "scipy" not in sys.modules, "scipy loaded at import"
+        code = bawkit.cli.main(["fit", "--s2p", {fixture_path()!r},
+                                "--band", "12.5:14",
+                                "--out", {str(tmp_path / "fit")!r}])
+        assert code == 0, code
+        assert "scipy" in sys.modules
+    """)
+    src = str(pathlib.Path(bawkit.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                   timeout=120)
+    report = (tmp_path / "fit" / "fit_report.txt").read_text()
+    assert parse_fit_report(report)["converged"] is True
 
 
 # -- parser plumbing ---------------------------------------------------------

@@ -5,17 +5,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bawkit import (ConfigError, FrequencyGrid, ModeSearchError,
                     admittance_bvp, calibrate_piezo_stiffness,
                     estimate_frequency, estimate_thickness, export_modes_csv,
-                    find_modes, keff2, modal, qm_from_partition)
+                    field_profile, find_modes, keff2, modal,
+                    qm_from_partition, strain_energy)
 from bawkit.acoustic1d import EnergyPartition
 from bawkit.materials import Layer, Stack
 
-from conftest import AREA_30UM, CAL_BAND, make_metal, make_piezo, plate
+from conftest import (AREA_30UM, CAL_BAND, CAL_TARGET_HZ, make_metal,
+                      make_piezo, plate, random_stack)
 
 # high-precision evaluation of the 12.8/13.2 GHz pair, frozen
 KEFF2_IEEE_PIN = 0.07255878919834874
@@ -320,6 +322,27 @@ def test_interior_extrema_matches_loop(values, maxima):
     assert got.tolist() == _interior_extrema_loop(v, maxima)
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       tan_delta=st.sampled_from([0.0, 1e-3]),
+       backend=st.sampled_from(["bvp", "mason"]))
+@example(seed=0, tan_delta=0.0, backend="bvp")
+def test_mode_energies_match_profile_energies(seed, tan_delta, backend):
+    """find_modes grades every mode from one batched solve; each eta and
+    Qm equals the one from that mode's own field profile."""
+    stack = random_stack(np.random.default_rng(seed), tan_delta=tan_delta)
+    try:
+        modes = find_modes(stack, FrequencyGrid(0.5e9, 40e9, 2001), 4,
+                           backend=backend)
+    except ModeSearchError:
+        assume(False)
+    for m in modes:
+        part = strain_energy(field_profile(stack, m.fs), stack)
+        assert m.eta == pytest.approx(part.eta, rel=1e-12)
+        assert m.qm == pytest.approx(qm_from_partition(part, stack),
+                                     rel=1e-12)
+
+
 def test_find_modes_backend_choice(calibrated_stack):
     bvp = find_modes(calibrated_stack, CAL_BAND, 1)
     mason = find_modes(calibrated_stack, CAL_BAND, 1, backend="mason")
@@ -349,6 +372,22 @@ def test_calibration_hits_target(calibrated):
     assert 0.5 < scale < 2.0
     mode = find_modes(stack, CAL_BAND, 1)[0]
     assert abs(mode.fs - 4.9e9) / 4.9e9 < 1e-8
+
+
+def test_calibration_call_budget(nominal, monkeypatch):
+    search = modal.find_modes
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(modal, "find_modes", counting)
+    stack, _ = calibrate_piezo_stiffness(nominal, target_fs=CAL_TARGET_HZ,
+                                         band=CAL_BAND)
+    assert len(calls) <= 14
+    fs = search(stack, CAL_BAND, 1)[0].fs
+    assert abs(fs - CAL_TARGET_HZ) / CAL_TARGET_HZ <= 1e-9
 
 
 def test_calibration_scales_only_piezo_stiffness(nominal, calibrated):
