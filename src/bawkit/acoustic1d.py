@@ -104,13 +104,13 @@ class FieldProfile:
 
     Per-layer sampled arrays keep both interface endpoints so continuity
     can be checked from either side.  Amplitudes are the (a, b) wave pair
-    of each layer in u(z) = a*exp(-j*k*z) + b*exp(+j*k*z).
+    of each layer in u(z) = a*exp(-j*k*z) + b*exp(+j*k*z), driven by a
+    unit voltage across the piezo layer.
     """
 
     frequency: float
     amplitudes: tuple[tuple[complex, complex], ...]
     d_field: complex
-    voltage: complex
     z_layers: tuple[np.ndarray, ...]
     u_layers: tuple[np.ndarray, ...]
     t_layers: tuple[np.ndarray, ...]
@@ -420,12 +420,10 @@ def field_profile(stack: Stack, f: float, points_per_layer: int = 64) -> FieldPr
         t_layers.append(t_stress)
         z0 += lay.thickness
 
-    voltage = complex(1.0)
     return FieldProfile(
         frequency=f,
         amplitudes=tuple(amps),
         d_field=complex(d_field),
-        voltage=voltage,
         z_layers=tuple(z_layers),
         u_layers=tuple(u_layers),
         t_layers=tuple(t_layers),

@@ -22,12 +22,13 @@ import numpy as np
 from . import __version__
 from .acoustic1d import (AdmittanceCurve, FrequencyGrid, PhysicsError,
                          export_spectrum_csv, spectrum)
-from .materials import ConfigError, load_stack
+from .materials import ConfigError, Stack, load_stack
 from .mbvd import (ConversionError, TouchstoneError, export_fit_curve_csv,
                    fit_mbvd, format_fit_report, parse_touchstone,
                    transmission_admittance)
-from .modal import (ModeSearchError, estimate_frequency, estimate_thickness,
-                    export_modes_csv, find_modes)
+from .modal import (ModeSearchError, calibrate_piezo_stiffness,
+                    estimate_frequency, estimate_thickness, export_modes_csv,
+                    find_modes)
 from .sweep import (BandCoverageError, SweepConfig, export_sweep_csv,
                     render_heatmap, run_sweep)
 
@@ -115,12 +116,30 @@ def _ensure_out(args) -> pathlib.Path:
     return out
 
 
+def _calibrate(stack: Stack, band: FrequencyGrid, args, config: dict,
+               extras: dict) -> Stack:
+    """Apply --calibrate-fs: scale the piezo c33E so mode 0's fs over the
+    run's own band lands on the target, and record target and scale."""
+    if args.calibrate_fs is None:
+        return stack
+    target = parse_frequency(args.calibrate_fs, default_factor=1e9)
+    stack, scale = calibrate_piezo_stiffness(stack, target, band)
+    config["calibrate_fs_hz"] = f"{target:.17g}"
+    extras["calibration_scale"] = f"{scale:.17g}"
+    return stack
+
+
 def cmd_simulate(args) -> int:
     stack_path = pathlib.Path(args.stack)
     stack = load_stack(stack_path.read_text(encoding="utf-8"))
     fmin = parse_frequency(args.fmin)
     fmax = parse_frequency(args.fmax)
     grid = FrequencyGrid(fmin, fmax, args.points)
+    config = {"stack": args.stack, "fmin_hz": f"{fmin:.17g}",
+              "fmax_hz": f"{fmax:.17g}", "points": args.points,
+              "backend": args.backend, "modes": args.modes}
+    extras = {}
+    stack = _calibrate(stack, grid, args, config, extras)
     out = _ensure_out(args)
 
     backends = ("bvp", "mason") if args.backend == "both" else (args.backend,)
@@ -138,15 +157,11 @@ def cmd_simulate(args) -> int:
     export_modes_csv(modes, out / "modes.csv")
     outputs.append("modes.csv")
 
-    extras = {}
     if args.backend == "both":
         dev = np.max(np.abs(curves["bvp"].y - curves["mason"].y)
                      / np.abs(curves["mason"].y))
         extras["max_backend_rel_deviation"] = f"{dev:.17g}"
 
-    config = {"stack": args.stack, "fmin_hz": f"{fmin:.17g}",
-              "fmax_hz": f"{fmax:.17g}", "points": args.points,
-              "backend": args.backend, "modes": args.modes}
     write_manifest(out, "simulate", config, {"stack": stack_path}, outputs,
                    extras)
     return 0
@@ -161,10 +176,16 @@ def cmd_sweep(args) -> int:
     if ip == 0 or ip == len(stack.layers) - 1:
         raise ConfigError("sweep varies the layers adjacent to the piezo; "
                           "the stack needs one on each side")
+    band = FrequencyGrid(fmin, fmax, args.band_points)
+    config = {"stack": args.stack, "grid": args.grid, "range": args.range,
+              "modes": args.modes, "band": args.band,
+              "band_points": args.band_points, "jobs": args.jobs,
+              "heatmaps": args.heatmaps}
+    extras = {}
+    stack = _calibrate(stack, band, args, config, extras)
     cfg = SweepConfig(base=stack,
                       top_layer_index=ip + 1, bottom_layer_index=ip - 1,
-                      band=FrequencyGrid(fmin, fmax, args.band_points),
-                      ratio_min=lo, ratio_max=hi,
+                      band=band, ratio_min=lo, ratio_max=hi,
                       grid_n=args.grid, n_modes=args.modes)
     result = run_sweep(cfg, jobs=args.jobs)
     out = _ensure_out(args)
@@ -176,12 +197,17 @@ def cmd_sweep(args) -> int:
                 name = f"heatmap_{metric}_mode{mode}.svg"
                 render_heatmap(result, metric, mode, out / name)
                 outputs.append(name)
-    config = {"stack": args.stack, "grid": args.grid, "range": args.range,
-              "modes": args.modes, "band": args.band,
-              "band_points": args.band_points, "jobs": args.jobs,
-              "heatmaps": args.heatmaps,
-              "masked_cells": int(result.mask.sum())}
-    write_manifest(out, "sweep", config, {"stack": stack_path}, outputs)
+    config["masked_cells"] = int(result.mask.sum())
+    for mode in range(cfg.n_modes):
+        # masked cells hold NaN, so the best is over the cells that solved
+        j, i = np.unravel_index(np.nanargmax(result.fom[:, :, mode]),
+                                result.mask.shape)
+        key = f"best_fom.mode{mode}"
+        extras[key] = f"{result.fom[j, i, mode]:.17g}"
+        extras[f"{key}.t_bot_m"] = f"{result.bottom_thicknesses[j]:.17g}"
+        extras[f"{key}.t_top_m"] = f"{result.top_thicknesses[i]:.17g}"
+    write_manifest(out, "sweep", config, {"stack": stack_path}, outputs,
+                   extras)
     return 0
 
 
@@ -237,6 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     freq_help = "accepts Hz/kHz/MHz/GHz suffixes; bare numbers are Hz"
+    calibrate_help = ("first scale the piezo c33E so mode 0's fs over the "
+                      "run's band lands on this frequency (bare numbers "
+                      "are GHz)")
 
     p = sub.add_parser("simulate",
                        help="admittance spectrum and mode table for a stack")
@@ -249,6 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="both")
     p.add_argument("--modes", type=int, default=3,
                    help="modes to tabulate (default 3)")
+    p.add_argument("--calibrate-fs", help=calibrate_help)
     p.add_argument("--out", default="out", help="output directory")
     p.set_defaults(func=cmd_simulate)
 
@@ -272,6 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also render one SVG per metric and mode")
     p.add_argument("--jobs", type=int, default=1,
                    help="concurrent cell workers (default 1)")
+    p.add_argument("--calibrate-fs", help=calibrate_help)
     p.add_argument("--out", default="out", help="output directory")
     p.set_defaults(func=cmd_sweep)
 

@@ -28,6 +28,9 @@ KEFF2_DEFINITIONS = ("separation", "ieee", "approx")
 # by 2 / (_ZOOM_POINTS + 1)
 _ZOOM_POINTS = 32
 
+# relative width at which find_modes stops refining fs and fp by default
+_REFINE_TOL = 1e-9
+
 
 class ModeSearchError(RuntimeError):
     """The requested band does not yield a clean mode list."""
@@ -146,7 +149,7 @@ def _interior_extrema(values: np.ndarray, maxima: bool) -> np.ndarray:
 
 
 def find_modes(stack: Stack, band: FrequencyGrid, max_modes: int, *,
-               backend: str = "bvp", refine_tol: float = 1e-9,
+               backend: str = "bvp", refine_tol: float = _REFINE_TOL,
                keff2_definition: str = "ieee") -> list[ModeSummary]:
     """Locate up to max_modes (fs, fp) pairs in the band and grade them.
 
@@ -239,16 +242,19 @@ def export_modes_csv(modes: list[ModeSummary], path) -> None:
 
 def calibrate_piezo_stiffness(stack: Stack, target_fs: float,
                               band: FrequencyGrid, mode_index: int = 0,
-                              scale_bracket: tuple[float, float] = (0.5, 2.0),
-                              rel_tol: float = 1e-10) -> tuple[Stack, float]:
+                              scale_bracket: tuple[float, float] = (0.5, 2.0)
+                              ) -> tuple[Stack, float]:
     """Scale the piezo layer's c33e so one mode's fs lands on target_fs.
 
     Deposited-film stiffness is the least certain constant in the table;
     matching the measured fundamental with a single scalar on c33e is the
     documented way to anchor the model.  Returns (calibrated stack, scale).
     The band must contain the chosen mode for every scale in the bracket.
-    The scale is found by a bracketed secant search and is good to rel_tol
-    relative; fs itself is only as fine as find_modes' 1e-9 refinement.
+    The scale is found by a bracketed secant search that stops at the
+    refinement's resolution: fs goes at most as the square root of the
+    stiffness, so a scale bracket 2 * _REFINE_TOL wide pins fs to
+    find_modes' own _REFINE_TOL.  A finer bracket would only bisect
+    through the rounding steps of the refined fs.
     """
     ip = stack.piezo_index
     base_mat = stack.layers[ip].material
@@ -273,7 +279,8 @@ def calibrate_piezo_stiffness(stack: Stack, target_fs: float,
             f"target fs = {target_fs:.6g} Hz not reachable: scale bracket "
             f"[{lo:g}, {hi:g}] moves mode {mode_index} over "
             f"[{g_lo + target_fs:.6g}, {g_hi + target_fs:.6g}] Hz")
-    scale = _bracketed_secant(objective, lo, g_lo, hi, g_hi, rel_tol)
+    scale = _bracketed_secant(objective, lo, g_lo, hi, g_hi,
+                               2.0 * _REFINE_TOL)
     return rescaled(scale), scale
 
 

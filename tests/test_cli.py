@@ -1,5 +1,6 @@
 """Command-line behavior: flags, exit codes, files, determinism."""
 
+import csv
 import importlib.resources
 import os
 import pathlib
@@ -11,7 +12,9 @@ import pytest
 
 import bawkit
 import bawkit.cli as cli
-from bawkit import nominal_stack
+from bawkit import (FrequencyGrid, calibrate_piezo_stiffness,
+                    export_modes_csv, export_spectrum_csv, find_modes,
+                    nominal_stack, spectrum)
 from bawkit.materials import ConfigError, serialize_stack
 from bawkit.mbvd import parse_fit_report
 
@@ -119,6 +122,9 @@ def test_simulate_writes_spectra_and_modes(stack_file, tmp_path, capsys):
            if "max_backend_rel_deviation" in ln][0]
     assert float(dev.split(":")[1]) < 1e-8
     assert "input.stack.sha256" in manifest
+    keys = [ln.split(":", 1)[0] for ln in manifest.splitlines()]
+    assert "config.calibrate_fs_hz" not in keys
+    assert "calibration_scale" not in keys
     capsys.readouterr()
 
 
@@ -150,13 +156,49 @@ def test_simulate_band_without_modes_is_physics_error(stack_file, tmp_path,
 def test_simulate_reruns_byte_identical(stack_file, tmp_path, capsys):
     args = ["simulate", "--stack", str(stack_file), "--fmin", "3GHz",
             "--fmax", "8GHz", "--points", "301"]
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert cli.main(args + ["--out", str(out_a)]) == 0
-    assert cli.main(args + ["--out", str(out_b)]) == 0
-    for name in ("spectrum_bvp.csv", "modes.csv"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-    assert manifest_digest_lines(out_a) == manifest_digest_lines(out_b)
+    for extra in ([], ["--calibrate-fs", "5GHz"]):
+        out_a, out_b = (tmp_path / f"{run}{len(extra)}" for run in "ab")
+        assert cli.main(args + extra + ["--out", str(out_a)]) == 0
+        assert cli.main(args + extra + ["--out", str(out_b)]) == 0
+        for name in ("spectrum_bvp.csv", "modes.csv"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        assert manifest_digest_lines(out_a) == manifest_digest_lines(out_b)
     capsys.readouterr()
+
+
+def test_simulate_calibrated_matches_library(stack_file, tmp_path, capsys):
+    """--calibrate-fs is calibrate_piezo_stiffness over the run's band,
+    followed by the uncalibrated pipeline on the scaled stack."""
+    out = tmp_path / "cal"
+    code = cli.main(["simulate", "--stack", str(stack_file),
+                     "--fmin", "3GHz", "--fmax", "15GHz", "--points", "801",
+                     "--calibrate-fs", "4.9GHz", "--out", str(out)])
+    assert code == 0
+    band = FrequencyGrid(3e9, 15e9, 801)
+    stack, scale = calibrate_piezo_stiffness(nominal_stack(), 4.9e9, band)
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    for backend in ("bvp", "mason"):
+        export_spectrum_csv(spectrum(stack, band, backend=backend),
+                            ref / f"spectrum_{backend}.csv")
+    export_modes_csv(find_modes(stack, band, 3), ref / "modes.csv")
+    for name in ("spectrum_bvp.csv", "spectrum_mason.csv", "modes.csv"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+    lines = manifest_digest_lines(out)
+    assert "config.calibrate_fs_hz: 4900000000" in lines
+    assert f"calibration_scale: {scale:.17g}" in lines
+    capsys.readouterr()
+
+
+def test_calibrate_unreachable_target_exits_2(stack_file, tmp_path, capsys):
+    out = tmp_path / "x"
+    code = cli.main(["simulate", "--stack", str(stack_file),
+                     "--fmin", "3GHz", "--fmax", "15GHz", "--points", "601",
+                     "--calibrate-fs", "40GHz", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: target fs = 4e+10 Hz not reachable")
+    assert not out.exists()
 
 
 # -- sweep -------------------------------------------------------------------
@@ -174,6 +216,14 @@ def test_sweep_small_grid(stack_file, tmp_path, capsys):
     assert svgs == ["heatmap_fom_norm_mode0.svg",
                     "heatmap_fs_norm_mode0.svg",
                     "heatmap_keff2_norm_mode0.svg"]
+    # the manifest names the best FOM cell; CSV floats are exact (.17g)
+    extras = dict(ln.split(": ", 1) for ln in manifest_digest_lines(out))
+    rows = csv.DictReader((out / "sweep.csv").read_text().splitlines())
+    best = max((r for r in rows if r["ok"] == "1"),
+               key=lambda r: float(r["fom"]))
+    assert float(extras["best_fom.mode0"]) == float(best["fom"])
+    assert float(extras["best_fom.mode0.t_bot_m"]) == float(best["t_bot_m"])
+    assert float(extras["best_fom.mode0.t_top_m"]) == float(best["t_top_m"])
     capsys.readouterr()
 
 
@@ -181,12 +231,24 @@ def test_sweep_jobs_do_not_change_output(stack_file, tmp_path, capsys):
     base = ["sweep", "--stack", str(stack_file), "--grid", "2",
             "--modes", "1", "--band", "1.5:11", "--band-points", "401",
             "--heatmaps"]
-    out1, out2 = tmp_path / "j1", tmp_path / "j2"
-    assert cli.main(base + ["--jobs", "1", "--out", str(out1)]) == 0
-    assert cli.main(base + ["--jobs", "2", "--out", str(out2)]) == 0
-    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
-    svg = "heatmap_fs_norm_mode0.svg"
-    assert (out1 / svg).read_bytes() == (out2 / svg).read_bytes()
+    for extra in ([], ["--calibrate-fs", "4.9"]):
+        outs = [tmp_path / f"j{jobs}-{len(extra)}" for jobs in (1, 2)]
+        for jobs, out in zip((1, 2), outs):
+            assert cli.main(base + extra + ["--jobs", str(jobs),
+                                            "--out", str(out)]) == 0
+        names = [p.name for p in outs[0].iterdir()
+                 if p.name != "manifest.txt"]
+        assert len(names) == 4
+        for name in names:
+            assert ((outs[0] / name).read_bytes()
+                    == (outs[1] / name).read_bytes()), name
+        # the manifests differ only in the jobs line and their digest
+        lines = [[ln for ln in manifest_digest_lines(out)
+                  if not ln.startswith(("config.jobs", "manifest_sha256"))]
+                 for out in outs]
+        assert lines[0] == lines[1]
+        calibrated = "config.calibrate_fs_hz: 4900000000" in lines[0]
+        assert calibrated == bool(extra)
     capsys.readouterr()
 
 

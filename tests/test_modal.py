@@ -16,8 +16,8 @@ from bawkit import (ConfigError, FrequencyGrid, ModeSearchError,
 from bawkit.acoustic1d import EnergyPartition
 from bawkit.materials import Layer, Stack
 
-from conftest import (AREA_30UM, CAL_BAND, CAL_TARGET_HZ, make_metal,
-                      make_piezo, plate, random_stack)
+from conftest import (AREA_30UM, CAL_BAND, make_metal, make_piezo, plate,
+                      random_stack)
 
 # high-precision evaluation of the 12.8/13.2 GHz pair, frozen
 KEFF2_IEEE_PIN = 0.07255878919834874
@@ -374,7 +374,13 @@ def test_calibration_hits_target(calibrated):
     assert abs(mode.fs - 4.9e9) / 4.9e9 < 1e-8
 
 
+# fundamentals 4.5-5.3 GHz, scales about 0.69-1.22 on the nominal stack
+CALIBRATION_TARGETS_HZ = [4.5e9 + 0.1e9 * k for k in range(9)]
+
+
 def test_calibration_call_budget(nominal, monkeypatch):
+    """The scale search stops at the refinement's resolution: no mode
+    search is spent below the 1e-9 width that fs is refined to."""
     search = modal.find_modes
     calls = []
 
@@ -383,11 +389,13 @@ def test_calibration_call_budget(nominal, monkeypatch):
         return search(*args, **kwargs)
 
     monkeypatch.setattr(modal, "find_modes", counting)
-    stack, _ = calibrate_piezo_stiffness(nominal, target_fs=CAL_TARGET_HZ,
-                                         band=CAL_BAND)
-    assert len(calls) <= 14
-    fs = search(stack, CAL_BAND, 1)[0].fs
-    assert abs(fs - CAL_TARGET_HZ) / CAL_TARGET_HZ <= 1e-9
+    for target in CALIBRATION_TARGETS_HZ:
+        calls.clear()
+        stack, _ = calibrate_piezo_stiffness(nominal, target_fs=target,
+                                             band=CAL_BAND)
+        assert len(calls) <= 10, (target, len(calls))
+        fs = search(stack, CAL_BAND, 1)[0].fs
+        assert abs(fs - target) / target <= 1e-9, (target, fs)
 
 
 def test_calibration_scales_only_piezo_stiffness(nominal, calibrated):
