@@ -52,12 +52,11 @@ class SingularFrequencyError(PhysicsError):
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """A sweep axis: [f_min, f_max] with n_points, linear or logarithmic."""
+    """A linear sweep axis: [f_min, f_max] with n_points."""
 
     f_min: float
     f_max: float
     n_points: int
-    spacing: str = "linear"
 
     def __post_init__(self):
         if not 0 < self.f_min < self.f_max:
@@ -65,14 +64,9 @@ class FrequencyGrid:
                 f"need 0 < f_min < f_max, got ({self.f_min!r}, {self.f_max!r})")
         if self.n_points < 2:
             raise ConfigError(f"n_points must be >= 2, got {self.n_points}")
-        if self.spacing not in ("linear", "logarithmic"):
-            raise ConfigError(
-                f"spacing must be 'linear' or 'logarithmic', got {self.spacing!r}")
 
     def frequencies(self) -> np.ndarray:
-        if self.spacing == "linear":
-            return np.linspace(self.f_min, self.f_max, self.n_points)
-        return np.geomspace(self.f_min, self.f_max, self.n_points)
+        return np.linspace(self.f_min, self.f_max, self.n_points)
 
 
 @dataclass(frozen=True)
@@ -110,22 +104,9 @@ class FieldProfile:
 
     frequency: float
     amplitudes: tuple[tuple[complex, complex], ...]
-    d_field: complex
     z_layers: tuple[np.ndarray, ...]
     u_layers: tuple[np.ndarray, ...]
     t_layers: tuple[np.ndarray, ...]
-
-    @property
-    def z(self) -> np.ndarray:
-        return np.concatenate(self.z_layers)
-
-    @property
-    def u(self) -> np.ndarray:
-        return np.concatenate(self.u_layers)
-
-    @property
-    def t_stress(self) -> np.ndarray:
-        return np.concatenate(self.t_layers)
 
 
 @dataclass(frozen=True)
@@ -423,7 +404,6 @@ def field_profile(stack: Stack, f: float, points_per_layer: int = 64) -> FieldPr
     return FieldProfile(
         frequency=f,
         amplitudes=tuple(amps),
-        d_field=complex(d_field),
         z_layers=tuple(z_layers),
         u_layers=tuple(u_layers),
         t_layers=tuple(t_layers),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import pathlib
 import re
 import sys
@@ -36,8 +37,11 @@ _UNIT_FACTORS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 
 
 def parse_frequency(text: str, default_factor: float = 1.0) -> float:
-    """Parse a frequency with an optional Hz/kHz/MHz/GHz suffix."""
-    m = re.fullmatch(r"\s*([^a-zA-Z\s]+)\s*([a-zA-Z]*)\s*", text)
+    """Parse a finite float literal with an optional Hz/kHz/MHz/GHz suffix
+    (3e9, 4.9GHz, 2.5e-3 GHz); a bare number is scaled by default_factor."""
+    # the number is any run of non-letters, with an optional exponent
+    m = re.fullmatch(
+        r"\s*([^a-zA-Z\s]+(?:[eE][^a-zA-Z\s]+)?)\s*([a-zA-Z]*)\s*", text)
     if not m:
         raise ConfigError(f"cannot parse frequency {text!r}")
     try:
@@ -52,7 +56,10 @@ def parse_frequency(text: str, default_factor: float = 1.0) -> float:
     else:
         raise ConfigError(f"unknown frequency unit {m.group(2)!r} "
                           "(expected Hz, kHz, MHz, or GHz)")
-    return value * factor
+    hz = value * factor
+    if not math.isfinite(hz):
+        raise ConfigError(f"frequency {text!r} is not finite")
+    return hz
 
 
 def _parse_pair(text: str, what: str) -> tuple[str, str]:

@@ -156,12 +156,8 @@ class Stack:
         raise ConfigError("stack has no piezo layer")  # unreachable
 
     @property
-    def piezo_layer(self) -> Layer:
-        return self.layers[self.piezo_index]
-
-    @property
     def t_piezo(self) -> float:
-        return self.piezo_layer.thickness
+        return self.layers[self.piezo_index].thickness
 
     def with_layer_thickness(self, index: int, thickness: float) -> "Stack":
         """Copy of the stack with one layer's thickness replaced."""

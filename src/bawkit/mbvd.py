@@ -24,8 +24,8 @@ import numpy as np
 from .acoustic1d import AdmittanceCurve
 from .materials import ConfigError
 
-FREQUENCY_UNITS = {"HZ": 1.0, "KHZ": 1e3, "MHZ": 1e6, "GHZ": 1e9}
-_FREQ_EXP = {"HZ": 0, "KHZ": 3, "MHZ": 6, "GHZ": 9}
+# frequency unit -> its power of ten
+FREQUENCY_UNITS = {"HZ": 0, "KHZ": 3, "MHZ": 6, "GHZ": 9}
 DATA_FORMATS = ("RI", "MA", "DB")
 TOPOLOGIES = ("series", "shunt")
 
@@ -51,7 +51,6 @@ class TouchstoneData:
     z0: float
     unit: str = "GHZ"
     data_format: str = "MA"
-    parameter: str = "S"
 
     def __post_init__(self):
         f = np.asarray(self.frequencies, dtype=float)
@@ -151,7 +150,7 @@ def parse_touchstone(text: str) -> TouchstoneData:
 
     n = len(values) // 9
     rec = np.asarray(values, dtype=float).reshape(n, 9)
-    exp = _FREQ_EXP[unit]
+    exp = FREQUENCY_UNITS[unit]
     freqs = np.array(
         [float(_shift_point(_as_decimal(tokens[9 * k][0]), exp))
          for k in range(n)], dtype=float)
@@ -202,25 +201,19 @@ def _shift_point(d: Decimal, exp: int) -> Decimal:
     return Decimal((sign, digits, e + exp))
 
 
-def emit_touchstone(data: TouchstoneData, data_format: str | None = None,
-                    unit: str | None = None) -> str:
-    """Render TouchstoneData back to text.
+def emit_touchstone(data: TouchstoneData) -> str:
+    """Render TouchstoneData back to text in its own unit and format.
 
     S values are written with 17 significant digits (bit round trip for
     doubles); frequencies are written as the exact decimal expansion of
-    the stored double shifted into the requested unit, so parse(emit(x))
+    the stored double shifted into the data's unit, so parse(emit(x))
     reproduces them bit for bit in every unit.
     """
-    fmt = (data_format or data.data_format).upper()
-    unt = (unit or data.unit).upper()
-    if fmt not in DATA_FORMATS:
-        raise ConfigError(f"unknown data format {fmt!r}")
-    if unt not in FREQUENCY_UNITS:
-        raise ConfigError(f"unknown frequency unit {unt!r}")
-    exp = _FREQ_EXP[unt]
+    fmt = data.data_format
+    exp = FREQUENCY_UNITS[data.unit]
     g = "{:.17g}".format
     out = [f"! two-port S-parameter record",
-           f"# {unt} S {fmt} R {g(data.z0)}"]
+           f"# {data.unit} S {fmt} R {g(data.z0)}"]
     for k in range(data.frequencies.size):
         f_unit = _shift_point(Decimal(float(data.frequencies[k])), -exp)
         cols = [format(f_unit, "f")]
@@ -302,19 +295,21 @@ class MbvdParams:
                          self.r0, self.rs])
 
 
-def mbvd_admittance(p: MbvdParams, f, include_motional: bool = True):
+def _circuit(omega, rm, lm, cm, c0, r0, rs):
+    """Motional and static branch impedances, their parallel admittance,
+    and the admittance behind rs, at angular frequencies omega."""
+    zm = rm + 1j * omega * lm + 1.0 / (1j * omega * cm)
+    zs = r0 + 1.0 / (1j * omega * c0)
+    y_par = 1.0 / zm + 1.0 / zs
+    return zm, zs, y_par, 1.0 / (rs + 1.0 / y_par)
+
+
+def mbvd_admittance(p: MbvdParams, f):
     """Model admittance at frequency f (scalar or array), e^{+jwt} sign."""
     f_arr = np.asarray(f, dtype=float)
     if np.any(f_arr <= 0):
         raise ConfigError("frequencies must be > 0")
-    w = 2.0 * math.pi * f_arr
-    y_static = 1.0 / (p.r0 + 1.0 / (1j * w * p.c0))
-    if include_motional:
-        z_mot = p.rm + 1j * w * p.lm + 1.0 / (1j * w * p.cm)
-        y_par = y_static + 1.0 / z_mot
-    else:
-        y_par = y_static
-    y = 1.0 / (p.rs + 1.0 / y_par)
+    y = _circuit(2.0 * math.pi * f_arr, *p.as_vector())[3]
     return y if f_arr.ndim else complex(y)
 
 
@@ -332,21 +327,16 @@ class FitReport:
     converged: bool
 
 
-def report(p: MbvdParams, compensated: bool = False,
-           residual: float = 0.0, n_iterations: int = 0,
+def report(p: MbvdParams, residual: float = 0.0, n_iterations: int = 0,
            converged: bool = True) -> FitReport:
     """Derive fs, Qs, keff2 and FOM from circuit values.
 
     fs = 1/(2 pi sqrt(lm cm)); qs = 2 pi fs lm / rm (motional Q, rs and r0
-    excluded); keff2 = (pi^2/8) cm/c0, or with the /(1 + cm/c0) correction
-    when compensated=True.
+    excluded); keff2 = (pi^2/8) cm/c0.
     """
     fs = 1.0 / (2.0 * math.pi * math.sqrt(p.lm * p.cm))
     qs = 2.0 * math.pi * fs * p.lm / p.rm if p.rm > 0 else math.inf
-    ratio = p.cm / p.c0
-    k2 = (math.pi ** 2 / 8.0) * ratio
-    if compensated:
-        k2 /= 1.0 + ratio
+    k2 = (math.pi ** 2 / 8.0) * (p.cm / p.c0)
     return FitReport(params=p, fs=fs, qs=qs, keff2_mbvd=k2, fom=k2 * qs,
                      residual=residual, n_iterations=n_iterations,
                      converged=converged)
@@ -380,15 +370,14 @@ def _seed_parameters(freqs: np.ndarray, y: np.ndarray) -> MbvdParams:
 
 
 def fit_mbvd(curve: AdmittanceCurve,
-             band: tuple[float, float] | None = None,
-             init: MbvdParams | None = None,
-             compensated: bool = False) -> FitReport:
+             band: tuple[float, float] | None = None) -> FitReport:
     """Fit the six mBVD values to an admittance curve.
 
     Minimizes sum |Y_model - Y_data|^2 / |Y_data|^2 with scipy's
-    Levenberg-Marquardt least_squares over log-parameters.  Non-convergence
-    is reported through the flag, never raised.  Requires >= 50 points in
-    the band and an interior conductance peak.
+    Levenberg-Marquardt least_squares over log-parameters, started from
+    closed-form seeds.  Non-convergence is reported through the flag,
+    never raised.  Requires >= 50 points in the band and an interior
+    conductance peak.
     """
     freqs = curve.frequencies
     y = curve.y
@@ -406,24 +395,26 @@ def fit_mbvd(curve: AdmittanceCurve,
     if i_peak in (0, freqs.size - 1):
         raise ConfigError("no conductance peak in band")
 
-    p0 = init if init is not None else _seed_parameters(freqs, y)
     # the floor only guards log(0) for zero resistances; femtofarad-scale
     # capacitances must pass through untouched
-    x0 = np.log(np.maximum(p0.as_vector(), 1e-30))
+    x0 = np.log(np.maximum(_seed_parameters(freqs, y).as_vector(), 1e-30))
     weight = 1.0 / np.abs(y)
     omega = 2.0 * math.pi * freqs
 
-    def model_and_grad(x: np.ndarray):
+    def values(x: np.ndarray) -> np.ndarray:
         # clamp keeps exp() finite if the optimizer wanders
-        rm, lm, cm, c0, r0, rs = np.exp(np.clip(x, -115.0, 115.0))
-        zm = rm + 1j * omega * lm + 1.0 / (1j * omega * cm)
-        zs = r0 + 1.0 / (1j * omega * c0)
-        y_par = 1.0 / zm + 1.0 / zs
-        denom = rs + 1.0 / y_par
-        y_model = 1.0 / denom
-        # dY/d(ln p): chain through denom and the parallel pair.  High-Q
+        return np.exp(np.clip(x, -115.0, 115.0))
+
+    def residuals(x: np.ndarray) -> np.ndarray:
+        diff = (_circuit(omega, *values(x))[3] - y) * weight
+        return np.concatenate([diff.real, diff.imag])
+
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        # dY/d(ln p): chain through rs and the parallel pair.  High-Q
         # lines make finite differences too noisy for LM to converge, so
         # the Jacobian is exact.
+        rm, lm, cm, c0, r0, rs = values(x)
+        zm, zs, y_par, y_model = _circuit(omega, rm, lm, cm, c0, r0, rs)
         outer = -y_model ** 2
         inner = outer * (-1.0 / y_par ** 2)
         grad = np.empty((6, freqs.size), dtype=complex)
@@ -433,21 +424,8 @@ def fit_mbvd(curve: AdmittanceCurve,
         grad[3] = inner * (1.0 / (1j * omega * c0 * zs ** 2))
         grad[4] = inner * (-1.0 / zs ** 2) * r0
         grad[5] = outer * rs
-        return y_model, grad
-
-    def residuals(x: np.ndarray) -> np.ndarray:
-        y_model, _ = model_and_grad(x)
-        diff = (y_model - y) * weight
-        return np.concatenate([diff.real, diff.imag])
-
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        _, grad = model_and_grad(x)
-        out = np.empty((2 * freqs.size, 6))
-        for i in range(6):
-            col = grad[i] * weight
-            out[:freqs.size, i] = col.real
-            out[freqs.size:, i] = col.imag
-        return out
+        grad *= weight
+        return np.concatenate([grad.real, grad.imag], axis=1).T
 
     # imported here so that only a fit pays for loading scipy.optimize,
     # which would otherwise be most of the time of `import bawkit`
@@ -456,14 +434,14 @@ def fit_mbvd(curve: AdmittanceCurve,
     sol = least_squares(residuals, x0, jac=jacobian, method="lm",
                         xtol=1e-14, ftol=1e-14, gtol=1e-14,
                         max_nfev=20000)
-    rm, lm, cm, c0, r0, rs = np.exp(np.clip(sol.x, -115.0, 115.0))
+    rm, lm, cm, c0, r0, rs = values(sol.x)
     p_fit = MbvdParams(rm=float(rm), lm=float(lm), cm=float(cm),
                        c0=float(c0), r0=float(r0), rs=float(rs))
-    res_vec = residuals(sol.x)
+    # sol.fun is the residual vector at sol.x
+    res = sol.fun
     rel_rms = float(np.sqrt(np.mean(
-        res_vec[:freqs.size] ** 2 + res_vec[freqs.size:] ** 2)))
-    return report(p_fit, compensated=compensated, residual=rel_rms,
-                  n_iterations=int(sol.nfev),
+        res[:freqs.size] ** 2 + res[freqs.size:] ** 2)))
+    return report(p_fit, residual=rel_rms, n_iterations=int(sol.nfev),
                   converged=bool(sol.status > 0))
 
 

@@ -241,20 +241,18 @@ def export_modes_csv(modes: list[ModeSummary], path) -> None:
 
 
 def calibrate_piezo_stiffness(stack: Stack, target_fs: float,
-                              band: FrequencyGrid, mode_index: int = 0,
-                              scale_bracket: tuple[float, float] = (0.5, 2.0)
-                              ) -> tuple[Stack, float]:
-    """Scale the piezo layer's c33e so one mode's fs lands on target_fs.
+                              band: FrequencyGrid) -> tuple[Stack, float]:
+    """Scale the piezo layer's c33e so mode 0's fs lands on target_fs.
 
     Deposited-film stiffness is the least certain constant in the table;
     matching the measured fundamental with a single scalar on c33e is the
     documented way to anchor the model.  Returns (calibrated stack, scale).
-    The band must contain the chosen mode for every scale in the bracket.
-    The scale is found by a bracketed secant search that stops at the
-    refinement's resolution: fs goes at most as the square root of the
-    stiffness, so a scale bracket 2 * _REFINE_TOL wide pins fs to
-    find_modes' own _REFINE_TOL.  A finer bracket would only bisect
-    through the rounding steps of the refined fs.
+    The scale is searched in [0.5, 2], and the band must contain mode 0
+    for every scale in that bracket.  The scale is found by a bracketed
+    secant search that stops at the refinement's resolution: fs goes at
+    most as the square root of the stiffness, so a scale bracket
+    2 * _REFINE_TOL wide pins fs to find_modes' own _REFINE_TOL.  A finer
+    bracket would only bisect through the rounding steps of the refined fs.
     """
     ip = stack.piezo_index
     base_mat = stack.layers[ip].material
@@ -266,18 +264,14 @@ def calibrate_piezo_stiffness(stack: Stack, target_fs: float,
         return replace(stack, layers=tuple(layers))
 
     def objective(scale: float) -> float:
-        modes = find_modes(rescaled(scale), band, mode_index + 1)
-        if len(modes) <= mode_index:
-            raise ModeSearchError(
-                f"mode {mode_index} not found in band at scale {scale:.4g}")
-        return modes[mode_index].fs - target_fs
+        return find_modes(rescaled(scale), band, 1)[0].fs - target_fs
 
-    lo, hi = scale_bracket
+    lo, hi = 0.5, 2.0
     g_lo, g_hi = objective(lo), objective(hi)
     if g_lo * g_hi > 0:
         raise ConfigError(
             f"target fs = {target_fs:.6g} Hz not reachable: scale bracket "
-            f"[{lo:g}, {hi:g}] moves mode {mode_index} over "
+            f"[{lo:g}, {hi:g}] moves mode 0 over "
             f"[{g_lo + target_fs:.6g}, {g_hi + target_fs:.6g}] Hz")
     scale = _bracketed_secant(objective, lo, g_lo, hi, g_hi,
                                2.0 * _REFINE_TOL)

@@ -15,7 +15,6 @@ bit-identical for any worker count.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .acoustic1d import FrequencyGrid, PhysicsError
 from .materials import ConfigError, Stack, derive_constants
-from .modal import ModeSearchError, ModeSummary, find_modes
+from .modal import ModeSearchError, find_modes
 
 HEATMAP_METRICS = ("fs_norm", "keff2_norm", "fom_norm", "eta")
 
@@ -120,12 +119,6 @@ class SweepResult:
     def n_modes(self) -> int:
         return self.fs.shape[2]
 
-    def metric_grid(self, metric: str) -> np.ndarray:
-        if metric not in HEATMAP_METRICS:
-            raise ConfigError(
-                f"unknown metric {metric!r}; expected one of {HEATMAP_METRICS}")
-        return getattr(self, metric)
-
 
 def _eval_cell(payload) -> list[tuple] | None:
     """Run modal analysis for one grid cell; None marks a masked cell."""
@@ -217,8 +210,8 @@ def export_sweep_csv(result: SweepResult, path) -> None:
     """Long-format CSV, one row per (cell, mode), bottom-major row order.
 
     Masked cells keep their coordinate and mode columns, write ok = 0, and
-    leave every metric column empty.  Numbers carry 17 significant digits
-    so a round trip through read_sweep_csv is exact.
+    leave every metric column empty.  Numbers carry 17 significant digits,
+    so float() of a field gives back the grid value bit for bit.
     """
     g = "{:.17g}".format
     lines = [_CSV_HEADER]
@@ -241,54 +234,6 @@ def export_sweep_csv(result: SweepResult, path) -> None:
                     )) + ",1")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_sweep_csv(path) -> SweepResult:
-    """Rebuild a SweepResult from export_sweep_csv output.
-
-    t_piezo and f0_piezo are reconstructed from the stored columns
-    (fs/fs_norm ratio); they are only used for labeling.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != _CSV_HEADER:
-        raise ConfigError(f"{path}: not a sweep CSV (bad header)")
-    # axis value -> position, in first-seen order
-    tops: dict[float, int] = {}
-    bots: dict[float, int] = {}
-    recs = []
-    n_modes = 0
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 12:
-            raise ConfigError(f"{path}: expected 12 columns, got {len(parts)}")
-        t_top, t_bot, m = float(parts[0]), float(parts[1]), int(parts[2])
-        n_modes = max(n_modes, m + 1)
-        i = tops.setdefault(t_top, len(tops))
-        j = bots.setdefault(t_bot, len(bots))
-        recs.append((j, i, m, parts[3:]))
-    nb, nt = len(bots), len(tops)
-    shape = (nb, nt, n_modes)
-    order = ("fs", "fs_norm", "keff2", "keff2_norm", "eta", "qm",
-             "fom", "fom_norm")
-    grids = {name: np.full(shape, np.nan) for name in order}
-    mask = np.zeros((nb, nt), dtype=bool)
-    for j, i, m, vals in recs:
-        if vals[-1] == "0":
-            mask[j, i] = True
-            continue
-        for name, raw in zip(order, vals[:-1]):
-            grids[name][j, i, m] = float(raw)
-    ok = ~mask
-    f0 = 1.0
-    if ok.any():
-        j, i = np.argwhere(ok)[0]
-        f0 = grids["fs"][j, i, 0] / grids["fs_norm"][j, i, 0]
-    return SweepResult(
-        top_thicknesses=np.asarray(list(tops)),
-        bottom_thicknesses=np.asarray(list(bots)),
-        t_piezo=float(np.median(list(tops))), f0_piezo=f0,
-        mask=mask, **grids)
 
 
 def _ramp_color(t: float) -> str:
@@ -318,7 +263,7 @@ def render_heatmap(result: SweepResult, metric: str, mode: int, path) -> None:
     if not 0 <= mode < result.n_modes:
         raise ConfigError(f"mode {mode} out of range "
                           f"(result has {result.n_modes} modes)")
-    plane = result.metric_grid(metric)[:, :, mode]
+    plane = getattr(result, metric)[:, :, mode]
     ok = ~result.mask
     vals = plane[ok]
     if vals.size == 0:

@@ -34,15 +34,12 @@ def test_frequency_grid_validation():
         FrequencyGrid(2e9, 1e9, 10)
     with pytest.raises(ConfigError):
         FrequencyGrid(1e9, 2e9, 1)
-    with pytest.raises(ConfigError):
-        FrequencyGrid(1e9, 2e9, 10, spacing="cubic")
 
 
 def test_frequency_grid_axes():
     lin = FrequencyGrid(1e9, 2e9, 11).frequencies()
     assert lin[0] == 1e9 and lin[-1] == 2e9 and lin.size == 11
-    log = FrequencyGrid(1e9, 4e9, 3, spacing="logarithmic").frequencies()
-    assert log[1] == pytest.approx(2e9, rel=1e-12)
+    assert np.array_equal(lin, np.linspace(1e9, 2e9, 11))
 
 
 # -- single-frequency admittance ---------------------------------------------

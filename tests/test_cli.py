@@ -43,10 +43,18 @@ def test_parse_frequency_units():
     assert cli.parse_frequency("12 kHz") == 12e3
     assert cli.parse_frequency("440Hz") == 440.0
     assert cli.parse_frequency("13", default_factor=1e9) == 13e9
-    with pytest.raises(ConfigError):
-        cli.parse_frequency("fastHz")
-    with pytest.raises(ConfigError):
-        cli.parse_frequency("10 parsec")
+    # exponent notation, bare and with every suffix
+    assert cli.parse_frequency("3e9") == 3e9
+    assert cli.parse_frequency("15E9") == 15e9
+    assert cli.parse_frequency("4.9e9Hz") == 4.9e9
+    assert cli.parse_frequency("2.5e-3GHz") == 2.5e-3 * 1e9
+    assert cli.parse_frequency("1.2e+2 MHz") == 1.2e2 * 1e6
+    assert cli.parse_frequency("4e1 kHz") == 4e1 * 1e3
+    assert cli.parse_frequency("4.9e0", default_factor=1e9) == 4.9e9
+    for bad in ("fastHz", "10 parsec", "3e9 THz", "inf", "nan", "-inf GHz",
+                "NaN", "1e999", "1e300GHz", "3e9e9", ""):
+        with pytest.raises(ConfigError):
+            cli.parse_frequency(bad)
 
 
 def test_parse_band_and_ratio_errors():
@@ -125,6 +133,23 @@ def test_simulate_writes_spectra_and_modes(stack_file, tmp_path, capsys):
     keys = [ln.split(":", 1)[0] for ln in manifest.splitlines()]
     assert "config.calibrate_fs_hz" not in keys
     assert "calibration_scale" not in keys
+    capsys.readouterr()
+
+
+def test_simulate_accepts_exponent_frequencies(stack_file, tmp_path, capsys):
+    runs = {}
+    for fmin, fmax in (("3GHz", "15GHz"), ("3e9", "15e9")):
+        out = tmp_path / fmin
+        assert cli.main(["simulate", "--stack", str(stack_file),
+                         "--fmin", fmin, "--fmax", fmax, "--points", "401",
+                         "--out", str(out)]) == 0
+        runs[fmin] = out
+    manifest = (runs["3e9"] / "manifest.txt").read_text().splitlines()
+    assert "config.fmin_hz: 3000000000" in manifest
+    assert "config.fmax_hz: 15000000000" in manifest
+    for name in ("spectrum_bvp.csv", "spectrum_mason.csv", "modes.csv"):
+        assert ((runs["3e9"] / name).read_bytes()
+                == (runs["3GHz"] / name).read_bytes()), name
     capsys.readouterr()
 
 
@@ -299,7 +324,7 @@ def test_fit_nonconvergence_exits_5(tmp_path, monkeypatch, capsys):
     from bawkit.mbvd import report
     from test_mbvd import params_for
 
-    def fake_fit(curve, band=None, init=None, compensated=False):
+    def fake_fit(curve, band=None):
         return report(params_for(), residual=0.5, converged=False)
 
     monkeypatch.setattr(cli, "fit_mbvd", fake_fit)

@@ -142,9 +142,10 @@ def test_emit_parse_round_trip_all_formats():
 
 def test_emit_rejects_zero_magnitude_in_db():
     data = TouchstoneData(frequencies=np.array([1e9]),
-                          s=np.zeros((1, 2, 2), dtype=complex), z0=50.0)
+                          s=np.zeros((1, 2, 2), dtype=complex), z0=50.0,
+                          data_format="DB")
     with pytest.raises(ConfigError):
-        emit_touchstone(data, data_format="DB")
+        emit_touchstone(data)
 
 
 # -- s_to_y ------------------------------------------------------------------
@@ -240,12 +241,15 @@ def test_circuit_model_matches_nodal_solve():
 
 
 def test_static_branch_only():
+    # a vanishing motional capacitance leaves c0 + r0 behind rs
     p = params_for()
+    p = MbvdParams(rm=p.rm, lm=p.lm, cm=p.cm * 1e-12, c0=p.c0,
+                   r0=p.r0, rs=p.rs)
     f = 9.7e9
     w = 2 * math.pi * f
-    y = mbvd_admittance(p, f, include_motional=False)
+    y = mbvd_admittance(p, f)
     expected = 1.0 / (p.rs + p.r0 + 1.0 / (1j * w * p.c0))
-    assert y == pytest.approx(expected, rel=1e-14)
+    assert y == pytest.approx(expected, rel=1e-12)
 
 
 def test_motional_reactances_cancel_at_fs():
@@ -294,14 +298,6 @@ def test_report_limits_and_scalings():
     assert report(double).qs == pytest.approx(report(p).qs / 2, rel=1e-12)
 
 
-def test_report_compensated_coupling():
-    p = params_for()
-    ratio = p.cm / p.c0
-    rep = report(p, compensated=True)
-    expected = (math.pi ** 2 / 8) * ratio / (1 + ratio)
-    assert rep.keff2_mbvd == pytest.approx(expected, rel=1e-12)
-
-
 def test_report_text_round_trip():
     rep = report(params_for(), residual=1.2e-9, converged=True)
     text = format_fit_report(rep)
@@ -345,10 +341,10 @@ def test_noiseless_recovery():
             assert err < 0.01, (name, err)
 
 
-def test_fit_with_explicit_band_and_init():
+def test_fit_with_explicit_band():
     true, fs = draw_params(np.random.default_rng(23))
     curve = synth_curve(true, 0.5 * fs, 1.6 * fs, n=2001)
-    rep = fit_mbvd(curve, band=(0.85 * fs, 1.25 * fs), init=true)
+    rep = fit_mbvd(curve, band=(0.85 * fs, 1.25 * fs))
     assert rep.converged
     assert max(param_errors(rep.params, true).values()) < 1e-6
 
@@ -432,3 +428,33 @@ def test_bundled_fixture_reports_target_metrics():
     assert rep.fs == pytest.approx(13.3e9, rel=1e-3)
     assert abs(rep.fom - 10.9) < 0.3
     assert rep.residual < 1e-6
+
+
+def relative_rms(rep, curve, band=None):
+    """The fit's residual recomputed from its reported circuit values."""
+    f, y = curve.frequencies, curve.y
+    if band is not None:
+        keep = (f >= band[0]) & (f <= band[1])
+        f, y = f[keep], y[keep]
+    rel = np.abs(mbvd_admittance(rep.params, f) - y) / np.abs(y)
+    return math.sqrt(np.mean(rel ** 2))
+
+
+def test_reported_residual_matches_model():
+    band = (12.5e9, 14.0e9)
+    fixture = transmission_admittance(parse_touchstone(fixture_text()))
+    rep = fit_mbvd(fixture, band=band)
+    assert rep.residual == pytest.approx(relative_rms(rep, fixture, band),
+                                         rel=1e-12)
+
+    clean = synth_curve(params_for(), 12.0e9, 14.6e9, n=801)
+    rng = np.random.default_rng(41)
+    noise = (rng.standard_normal(clean.y.size)
+             + 1j * rng.standard_normal(clean.y.size)) / math.sqrt(2)
+    noisy = AdmittanceCurve(frequencies=clean.frequencies,
+                            y=clean.y * (1 + 0.01 * noise),
+                            provenance="measured")
+    rep = fit_mbvd(noisy)
+    assert rep.converged
+    assert rep.residual > 1e-3
+    assert rep.residual == pytest.approx(relative_rms(rep, noisy), rel=1e-12)

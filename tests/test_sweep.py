@@ -1,4 +1,4 @@
-"""Thickness-sweep grids, CSV round trip, and SVG heatmap rendering."""
+"""Thickness-sweep grids, CSV export, and SVG heatmap rendering."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,16 @@ import pytest
 from bawkit import FrequencyGrid, find_modes
 from bawkit.materials import ConfigError
 from bawkit.sweep import (HEATMAP_METRICS, BandCoverageError, SweepConfig,
-                          SweepResult, export_sweep_csv, read_sweep_csv,
-                          render_heatmap, run_sweep)
+                          SweepResult, export_sweep_csv, render_heatmap,
+                          run_sweep)
 
 WIDE_BAND = FrequencyGrid(1.5e9, 11e9, 951)
 
 CSV_HEADER = ("t_top_m,t_bot_m,mode,fs_hz,fs_norm,keff2,keff2_norm,"
               "eta,qm,fom,fom_norm,ok")
+# the result grids behind the CSV's metric columns, in column order
+CSV_METRICS = ("fs", "fs_norm", "keff2", "keff2_norm", "eta", "qm", "fom",
+               "fom_norm")
 
 
 def small_config(base, grid_n=2, n_modes=1, band=WIDE_BAND, **kw):
@@ -138,15 +141,31 @@ def test_csv_layout_and_round_trip(grid4, tmp_path):
     assert bots[0] == bots[1] == bots[2] == bots[3]
     assert bots[4] > bots[0]
     assert all(ln.endswith(",1") for ln in lines[1:])
+    assert_csv_matches(grid4, path)
 
-    back = read_sweep_csv(path)
-    for name in ("fs", "fs_norm", "keff2", "keff2_norm", "eta", "qm",
-                 "fom", "fom_norm"):
-        assert np.array_equal(getattr(back, name), getattr(grid4, name),
-                              equal_nan=True), name
-    assert np.array_equal(back.mask, grid4.mask)
-    assert np.array_equal(back.top_thicknesses, grid4.top_thicknesses)
-    assert np.array_equal(back.bottom_thicknesses, grid4.bottom_thicknesses)
+
+def assert_csv_matches(result, path):
+    """float() of every CSV field gives back its grid value bit for bit,
+    in bottom-major row order; masked cells write ok = 0 and leave every
+    metric field empty."""
+    rows = [ln.split(",") for ln in path.read_text().splitlines()[1:]]
+    nt = result.top_thicknesses.size
+    n_modes = result.n_modes
+    assert len(rows) == result.bottom_thicknesses.size * nt * n_modes
+    for k, row in enumerate(rows):
+        j, rest = divmod(k, nt * n_modes)
+        i, m = divmod(rest, n_modes)
+        assert float(row[0]) == result.top_thicknesses[i]
+        assert float(row[1]) == result.bottom_thicknesses[j]
+        assert int(row[2]) == m
+        if result.mask[j, i]:
+            assert row[3:] == [""] * len(CSV_METRICS) + ["0"]
+            continue
+        assert row[-1] == "1"
+        got = np.array([float(v) for v in row[3:-1]])
+        want = np.array([getattr(result, name)[j, i, m]
+                         for name in CSV_METRICS])
+        assert got.tobytes() == want.tobytes(), (j, i, m)
 
 
 def synthetic_result():
@@ -177,19 +196,10 @@ def test_masked_cells_export_empty_metrics(tmp_path):
     assert len(masked) == 1
     head = masked[0].split(",")
     assert head[3:11] == [""] * 8
-
-    back = read_sweep_csv(path)
-    assert back.mask.sum() == 1
-    assert bool(back.mask[1, 1])
-    assert np.isnan(back.fs[1, 1, 0])
-    assert back.fs[0, 1, 0] == 6e9
-
-
-def test_read_rejects_foreign_csv(tmp_path):
-    path = tmp_path / "other.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ConfigError):
-        read_sweep_csv(path)
+    # the masked row is cell (bottom 1, top 1), and solved cells keep
+    # their values
+    assert_csv_matches(result, path)
+    assert lines[2].split(",")[3] == "6000000000"
 
 
 # -- SVG ---------------------------------------------------------------------
