@@ -12,11 +12,10 @@ Two independent backends evaluate the same physics:
   agree to 1e-8 relative.  The BVP works on wave amplitudes and never
   forms an impedance, so the two share nothing past derive_constants.
 
-Strain energies come from the same elimination: its per-layer (P, Q)
-coefficient pairs give the wave amplitudes, and the two-wave energy
-integral has a closed form, so find_modes grades all of a stack's modes
-from one batched solve at their fs values; field_profile samples the
-fields only for plotting.
+Strain energies come from the same elimination: strain_energy
+integrates the two-wave energy of its wave amplitudes in closed form, so
+find_modes grades all of a stack's modes from one batched solve at their
+fs values; field_profile samples the fields only for plotting.
 
 Conventions: harmonic time dependence exp(+j*omega*t); layer-local
 coordinate z runs from the bottom face of each layer; v_star takes the
@@ -358,8 +357,8 @@ def spectrum(stack: Stack, grid: FrequencyGrid, backend: str = "bvp") -> Admitta
 def field_profile(stack: Stack, f: float, points_per_layer: int = 64) -> FieldProfile:
     """Displacement and stress profile at one frequency (unit drive).
 
-    For plotting and inspection: find_modes takes its energies from one
-    batched solve at all of its fs values and samples no profile.
+    For plotting and inspection: strain_energy integrates the same wave
+    amplitudes in closed form and samples no profile.
     points_per_layer is clamped to at least 64 samples per layer; both
     layer endpoints are included.
     """
@@ -428,19 +427,26 @@ def _two_wave_integrals(a: np.ndarray, b: np.ndarray, k: np.ndarray,
     return mag_k2 * (np.abs(a) ** 2 * ia + np.abs(b) ** 2 * ib + icross)
 
 
-def _partitions(stack: Stack, dc: DerivedConstants, freqs: np.ndarray,
-                amplitudes: np.ndarray) -> list[EnergyPartition]:
-    """Energy partition at each frequency from the (L, 2, n) wave
-    amplitudes in metres, integrated over all layers and frequencies at
-    once."""
-    layers = stack.layers
-    c_eff = np.array([lay.material.c33d if lay.role == "piezo"
-                      else lay.material.c33e for lay in layers])
-    thickness = np.array([lay.thickness for lay in layers])[:, None]
+def strain_energy(stack: Stack, f) -> list[EnergyPartition]:
+    """Per-layer time-averaged elastic strain energy U_i and eta at each f.
+
+    f is in Hz, a scalar or 1-D array, all > 0; returns one
+    EnergyPartition per frequency.  U_i = (A/4) * int Re(c_star_i)
+    |u'(z)|^2 dz, from the wave amplitudes of one batched BVP solve and
+    the analytic two-wave antiderivative (no profile, no quadrature).
+    eta is the piezo share of the total.
+    """
+    freqs = np.atleast_1d(np.asarray(f, dtype=float))
+    if np.any(freqs <= 0):
+        raise ConfigError("frequencies must be > 0")
+    dc = derive_constants(stack)
+    pq, alpha, delta, u_scale = _bvp_solve(stack, dc, freqs)
+    amplitudes = u_scale * _wave_amplitudes(pq, alpha, delta, freqs)
+    thickness = np.array([lay.thickness for lay in stack.layers])[:, None]
     k = 2.0 * math.pi * freqs / np.array(dc.v_star)[:, None]
     integral = _two_wave_integrals(amplitudes[:, 0], amplitudes[:, 1], k,
                                    thickness)
-    u_per = (0.25 * stack.area * c_eff)[:, None] * integral
+    u_per = (0.25 * stack.area * np.array(dc.c_star).real)[:, None] * integral
     partitions = []
     for row in u_per.T.tolist():
         total = sum(row)
@@ -450,28 +456,6 @@ def _partitions(stack: Stack, dc: DerivedConstants, freqs: np.ndarray,
             per_layer=tuple(row), total=total,
             eta=row[dc.piezo_index] / total))
     return partitions
-
-
-def _energy_partitions(stack: Stack, freqs: np.ndarray) -> list[EnergyPartition]:
-    """strain_energy(field_profile(stack, f), stack) at every f in freqs,
-    from the amplitudes of one batched solve (no profile is sampled)."""
-    dc = derive_constants(stack)
-    pq, alpha, delta, u_scale = _bvp_solve(stack, dc, freqs)
-    amplitudes = u_scale * _wave_amplitudes(pq, alpha, delta, freqs)
-    return _partitions(stack, dc, freqs, amplitudes)
-
-
-def strain_energy(profile: FieldProfile, stack: Stack) -> EnergyPartition:
-    """Per-layer time-averaged elastic strain energy U_i and eta.
-
-    U_i = (A/4) * int Re(c_eff) |u'(z)|^2 dz with the analytic two-wave
-    antiderivative (no quadrature).  eta is the piezo share of the total.
-    """
-    if len(profile.amplitudes) != len(stack.layers):
-        raise ConfigError("profile does not match the stack layer count")
-    amplitudes = np.array(profile.amplitudes)[:, :, None]
-    return _partitions(stack, derive_constants(stack),
-                       np.array([profile.frequency]), amplitudes)[0]
 
 
 def export_spectrum_csv(curve: AdmittanceCurve, path) -> None:

@@ -24,16 +24,14 @@ from . import __version__
 from .acoustic1d import (AdmittanceCurve, FrequencyGrid, PhysicsError,
                          export_spectrum_csv, spectrum)
 from .materials import ConfigError, Stack, load_stack
-from .mbvd import (ConversionError, TouchstoneError, export_fit_curve_csv,
-                   fit_mbvd, format_fit_report, parse_touchstone,
-                   transmission_admittance)
+from .mbvd import (FREQUENCY_UNITS, ConversionError, TouchstoneError,
+                   export_fit_curve_csv, fit_mbvd, format_fit_report,
+                   parse_touchstone, transmission_admittance)
 from .modal import (ModeSearchError, calibrate_piezo_stiffness,
                     estimate_frequency, estimate_thickness, export_modes_csv,
                     find_modes)
 from .sweep import (BandCoverageError, SweepConfig, export_sweep_csv,
                     render_heatmap, run_sweep)
-
-_UNIT_FACTORS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 
 
 def parse_frequency(text: str, default_factor: float = 1.0) -> float:
@@ -48,11 +46,11 @@ def parse_frequency(text: str, default_factor: float = 1.0) -> float:
         value = float(m.group(1))
     except ValueError:
         raise ConfigError(f"cannot parse frequency {text!r}")
-    suffix = m.group(2).lower()
+    suffix = m.group(2).upper()
     if not suffix:
         factor = default_factor
-    elif suffix in _UNIT_FACTORS:
-        factor = _UNIT_FACTORS[suffix]
+    elif suffix in FREQUENCY_UNITS:
+        factor = 10.0 ** FREQUENCY_UNITS[suffix]
     else:
         raise ConfigError(f"unknown frequency unit {m.group(2)!r} "
                           "(expected Hz, kHz, MHz, or GHz)")
@@ -85,6 +83,8 @@ def parse_ratio_range(text: str) -> tuple[float, float]:
         lo, hi = float(lo_s), float(hi_s)
     except ValueError:
         raise ConfigError(f"--range must be numeric, got {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"--range bounds must be finite, got {text!r}")
     if not lo < hi:
         raise ConfigError(f"--range must have lo < hi, got {text!r}")
     return lo, hi

@@ -4,10 +4,9 @@ fs is a local maximum of Re(Y) (conductance peak), fp the adjacent local
 minimum of |Y| above it.  Every fs and fp bracket taken from the coarse
 scan is refined at once by a batched zoom (one vector kernel call per
 pass over all open brackets), to a relative frequency tolerance.
-eta and Qm of every mode come from the wave amplitudes of one batched BVP
-solve at all the fs values.  Modes are indexed by ascending fs within the
-analyzed band; no attempt is made to classify which physical overtone
-each one is.
+eta and Qm of every mode come from one strain_energy call at all the fs
+values.  Modes are indexed by ascending fs within the analyzed band; no
+attempt is made to classify which physical overtone each one is.
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ from functools import partial
 
 import numpy as np
 
-from .acoustic1d import EnergyPartition, FrequencyGrid, _energy_partitions, \
-    admittance_bvp, admittance_mason
+from .acoustic1d import EnergyPartition, FrequencyGrid, admittance_bvp, \
+    admittance_mason, strain_energy
 from .materials import ConfigError, Stack
 
 KEFF2_DEFINITIONS = ("separation", "ieee", "approx")
@@ -155,8 +154,9 @@ def find_modes(stack: Stack, band: FrequencyGrid, max_modes: int, *,
 
     The band grid is the coarse scan; each conductance peak and the
     adjacent |Y| minimum above it are refined together by a batched zoom.
-    eta and Qm are evaluated at fs, for all modes in one BVP solve.  A
-    trailing resonance whose fp lies beyond the band is dropped.
+    eta and Qm are evaluated at fs, for all modes in one strain_energy
+    call, whatever the backend.  A trailing resonance whose fp lies
+    beyond the band is dropped.
     """
     if max_modes < 1:
         raise ConfigError(f"max_modes must be >= 1, got {max_modes}")
@@ -211,7 +211,7 @@ def find_modes(stack: Stack, band: FrequencyGrid, max_modes: int, *,
     if not pairs:
         raise ModeSearchError("no resonance found in band")
 
-    partitions = _energy_partitions(stack, refined[:len(pairs)])
+    partitions = strain_energy(stack, refined[:len(pairs)])
     modes = []
     for n, ((fs, fp), partition) in enumerate(zip(pairs, partitions)):
         qm = qm_from_partition(partition, stack)

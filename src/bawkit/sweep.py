@@ -26,6 +26,10 @@ from .modal import ModeSearchError, find_modes
 
 HEATMAP_METRICS = ("fs_norm", "keff2_norm", "fom_norm", "eta")
 
+# the eight metric grids of a SweepResult, in sweep CSV column order
+_GRIDS = ("fs", "fs_norm", "keff2", "keff2_norm", "eta", "qm", "fom",
+          "fom_norm")
+
 # 3-stop monotone ramp (dark violet -> teal -> yellow), interpolated
 # linearly per sRGB channel
 _RAMP_STOPS = ((0x44, 0x01, 0x54), (0x21, 0x91, 0x8C), (0xFD, 0xE7, 0x25))
@@ -106,8 +110,7 @@ class SweepResult:
     def __post_init__(self):
         nb = self.bottom_thicknesses.size
         nt = self.top_thicknesses.size
-        for name in ("fs", "keff2", "eta", "qm", "fom",
-                     "fs_norm", "keff2_norm", "fom_norm"):
+        for name in _GRIDS:
             arr = getattr(self, name)
             if arr.shape[:2] != (nb, nt):
                 raise ConfigError(f"grid {name} has shape {arr.shape}, "
@@ -161,39 +164,26 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
             chunk = max(1, len(payloads) // (8 * jobs))
             rows = list(pool.map(_eval_cell, payloads, chunksize=chunk))
 
-    shape = (n, n, cfg.n_modes)
-    fs = np.full(shape, np.nan)
-    keff2 = np.full(shape, np.nan)
-    eta = np.full(shape, np.nan)
-    qm = np.full(shape, np.nan)
-    fom = np.full(shape, np.nan)
-    mask = np.zeros((n, n), dtype=bool)
+    # one (cell, mode, metric) array; the five metric grids are views of it
+    metrics = np.full((n * n, cfg.n_modes, 5), np.nan)
     for idx, row in enumerate(rows):
-        j, i = divmod(idx, n)
-        if row is None:
-            mask[j, i] = True
-            continue
-        for m, (v_fs, v_k2, v_eta, v_qm, v_fom) in enumerate(row):
-            fs[j, i, m] = v_fs
-            keff2[j, i, m] = v_k2
-            eta[j, i, m] = v_eta
-            qm[j, i, m] = v_qm
-            fom[j, i, m] = v_fom
+        if row is not None:
+            metrics[idx] = row
+    mask = np.array([row is None for row in rows]).reshape(n, n)
 
-    n_masked = int(mask.sum())
-    if n_masked * 2 > n * n:
+    if mask.sum() * 2 > n * n:
         raise BandCoverageError("band does not cover requested modes")
 
     f0 = derive_constants(cfg.base).f0_piezo
+    metrics.setflags(write=False)
+    fs, keff2, eta, qm, fom = np.moveaxis(
+        metrics.reshape(n, n, cfg.n_modes, 5), -1, 0)
     fs_norm = fs / f0
-    keff2_norm = np.full(shape, np.nan)
-    fom_norm = np.full(shape, np.nan)
-    ok = ~mask
-    for m in range(cfg.n_modes):
-        keff2_norm[ok, m] = keff2[ok, m] / np.max(keff2[ok, m])
-        fom_norm[ok, m] = fom[ok, m] / np.max(fom[ok, m])
+    # masked cells hold NaN, so the per-mode maxima are over solved cells
+    keff2_norm = keff2 / np.nanmax(keff2, axis=(0, 1))
+    fom_norm = fom / np.nanmax(fom, axis=(0, 1))
 
-    for arr in (fs, keff2, eta, qm, fom, fs_norm, keff2_norm, fom_norm, mask):
+    for arr in (fs_norm, keff2_norm, fom_norm, mask):
         arr.setflags(write=False)
     return SweepResult(
         top_thicknesses=axis.copy(), bottom_thicknesses=axis.copy(),
@@ -214,24 +204,16 @@ def export_sweep_csv(result: SweepResult, path) -> None:
     so float() of a field gives back the grid value bit for bit.
     """
     g = "{:.17g}".format
+    values = np.stack([getattr(result, name) for name in _GRIDS],
+                      axis=-1).tolist()
+    mask = result.mask.tolist()
     lines = [_CSV_HEADER]
-    nb = result.bottom_thicknesses.size
-    nt = result.top_thicknesses.size
-    for j in range(nb):
-        for i in range(nt):
-            bad = bool(result.mask[j, i])
-            for m in range(result.n_modes):
-                head = (f"{g(result.top_thicknesses[i])},"
-                        f"{g(result.bottom_thicknesses[j])},{m}")
-                if bad:
-                    lines.append(head + ",,,,,,,,,0")
-                else:
-                    lines.append(head + "," + ",".join(g(v) for v in (
-                        result.fs[j, i, m], result.fs_norm[j, i, m],
-                        result.keff2[j, i, m], result.keff2_norm[j, i, m],
-                        result.eta[j, i, m], result.qm[j, i, m],
-                        result.fom[j, i, m], result.fom_norm[j, i, m],
-                    )) + ",1")
+    for j, t_bot in enumerate(result.bottom_thicknesses.tolist()):
+        for i, t_top in enumerate(result.top_thicknesses.tolist()):
+            for m, row in enumerate(values[j][i]):
+                tail = (",,,,,,,,,0" if mask[j][i]
+                        else "," + ",".join(map(g, row)) + ",1")
+                lines.append(f"{g(t_top)},{g(t_bot)},{m}{tail}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

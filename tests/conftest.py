@@ -1,12 +1,14 @@
 """Shared fixtures and builders for the test suite."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from bawkit import (FrequencyGrid, Layer, Material, Stack,
-                    calibrate_piezo_stiffness, nominal_stack)
+                    calibrate_piezo_stiffness, derive_constants,
+                    field_profile, nominal_stack)
 from bawkit.materials import EPS0
 
 AREA_30UM = math.pi * (15e-6) ** 2
@@ -60,6 +62,31 @@ def random_stack(rng, with_rs=True, with_rigid=True, tan_delta=0.0):
     return Stack(layers=tuple(layers), area=AREA_30UM, rs_electrical=rs,
                  boundary_bottom=str(rng.choice(kinds)),
                  boundary_top=str(rng.choice(kinds)))
+
+
+@functools.lru_cache(maxsize=1)
+def _gauss_legendre():
+    # the 1024 nodes come from an eigenproblem; solve it once per session
+    return np.polynomial.legendre.leggauss(1024)
+
+
+def quadrature_energies(stack, f):
+    """Per-layer strain energies (A/4) int Re(c_star) |u'|^2 dz at f, by
+    1024-node Gauss-Legendre quadrature of the field_profile wave
+    amplitudes; an independent reference for the closed form."""
+    dc = derive_constants(stack)
+    x, w = _gauss_legendre()
+    omega = 2 * math.pi * f
+    energies = []
+    for i, (lay, (a, b)) in enumerate(
+            zip(stack.layers, field_profile(stack, f).amplitudes)):
+        k = omega / dc.v_star[i]
+        z = 0.5 * lay.thickness * (x + 1.0)
+        du = (-1j * k * a * np.exp(-1j * k * z)
+              + 1j * k * b * np.exp(1j * k * z))
+        energies.append(stack.area / 4.0 * dc.c_star[i].real * np.sum(
+            0.5 * lay.thickness * w * np.abs(du) ** 2))
+    return energies
 
 
 @pytest.fixture(scope="session")

@@ -13,12 +13,11 @@ from bawkit import (ConfigError, FrequencyGrid, PhysicsError,
                     SingularFrequencyError, admittance_bvp, admittance_mason,
                     export_spectrum_csv, field_profile, spectrum,
                     strain_energy)
-from bawkit.acoustic1d import (AdmittanceCurve, _bvp_solve,
-                               _energy_partitions, _wave_amplitudes)
+from bawkit.acoustic1d import AdmittanceCurve, _bvp_solve, _wave_amplitudes
 from bawkit.materials import Layer, Stack, derive_constants
 
 from conftest import (AREA_30UM, make_metal, make_piezo, plate,
-                      random_stack)
+                      quadrature_energies, random_stack)
 
 # pinned from the closed-form backend at identical inputs; guards both
 # backends against silent drift
@@ -413,8 +412,7 @@ def test_bare_plate_fundamental_shape():
 
 def test_single_layer_eta_is_one():
     stack = plate(make_piezo(), 250e-9)
-    prof = field_profile(stack, 16e9)
-    part = strain_energy(prof, stack)
+    (part,) = strain_energy(stack, 16e9)
     assert part.eta == 1.0
     assert part.total > 0
     assert len(part.per_layer) == 1
@@ -433,40 +431,34 @@ def test_eta_rises_as_electrodes_thin(nominal):
 
 
 def test_energy_partition_matches_dense_quadrature(nominal):
-    """Production per-layer energies vs 1024-node Gauss-Legendre, from a
-    field profile and from the batched solve find_modes uses."""
+    """Closed-form per-layer energies vs 1024-node Gauss-Legendre of the
+    field profile's amplitudes, from a batched call and from one call
+    per frequency."""
     freqs = np.array([5.0e9, 13.0e9, 21.0e9])
-    batched = _energy_partitions(nominal, freqs)
-    dc = derive_constants(nominal)
-    nodes, weights = np.polynomial.legendre.leggauss(1024)
+    batched = strain_energy(nominal, freqs)
+    assert len(batched) == freqs.size
     for f, batch_part in zip(freqs, batched):
-        prof = field_profile(nominal, f)
-        omega = 2 * math.pi * f
-        for part in (strain_energy(prof, nominal), batch_part):
-            for i, lay in enumerate(nominal.layers):
-                a, b = prof.amplitudes[i]
-                k = omega / dc.v_star[i]
-                z = 0.5 * lay.thickness * (nodes + 1.0)
-                w = 0.5 * lay.thickness * weights
-                du = (-1j * k * a * np.exp(-1j * k * z)
-                      + 1j * k * b * np.exp(1j * k * z))
-                u_i = nominal.area / 4.0 * dc.c_star[i].real * np.sum(
-                    w * np.abs(du) ** 2)
-                assert u_i == pytest.approx(part.per_layer[i], rel=1e-8)
-            assert sum(part.per_layer) == pytest.approx(part.total, rel=1e-12)
-            assert part.per_layer[1] / part.total == pytest.approx(
-                part.eta, rel=1e-12)
+        reference = quadrature_energies(nominal, f)
+        (single,) = strain_energy(nominal, float(f))
+        assert single == batch_part
+        # the energies are ~1e-18 J, so approx's default abs tolerance
+        # would accept anything
+        for u_i, u_closed in zip(reference, batch_part.per_layer):
+            assert u_i == pytest.approx(u_closed, rel=1e-10, abs=0)
+        assert sum(batch_part.per_layer) == pytest.approx(
+            batch_part.total, rel=1e-12, abs=0)
+        assert batch_part.per_layer[1] / batch_part.total == pytest.approx(
+            batch_part.eta, rel=1e-12)
+
+
+def test_strain_energy_rejects_nonpositive_frequency(nominal):
+    for f in (0.0, -5e9, [5e9, 0.0]):
+        with pytest.raises(ConfigError, match="must be > 0"):
+            strain_energy(nominal, f)
 
 
 def test_no_excitation_error():
     pz = make_piezo(e33=0.0)
     stack = plate(pz, 250e-9)
-    prof = field_profile(stack, 10e9)
     with pytest.raises(PhysicsError, match="no acoustic excitation"):
-        strain_energy(prof, stack)
-
-
-def test_partition_stack_mismatch(nominal):
-    prof = field_profile(nominal, 10e9)
-    with pytest.raises(ConfigError):
-        strain_energy(prof, plate(make_piezo(), 250e-9))
+        strain_energy(stack, 10e9)

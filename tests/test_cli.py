@@ -278,11 +278,14 @@ def test_sweep_jobs_do_not_change_output(stack_file, tmp_path, capsys):
 
 
 def test_sweep_range_validation(stack_file, tmp_path, capsys):
-    code = cli.main(["sweep", "--stack", str(stack_file),
-                     "--range", "2.0:0.2", "--band", "1.5:11",
-                     "--out", str(tmp_path / "x")])
-    assert code == 2
-    capsys.readouterr()
+    for text in ("2.0:0.2", "0.2:inf", "inf:2", "0.2:nan"):
+        out = tmp_path / "x"
+        code = cli.main(["sweep", "--stack", str(stack_file),
+                         "--range", text, "--band", "1.5:11",
+                         "--out", str(out)])
+        assert code == 2, text
+        assert "--range" in capsys.readouterr().err, text
+        assert not out.exists(), text
 
 
 def test_sweep_uncovered_band_exits_4(stack_file, tmp_path, capsys):

@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 from bawkit import (ConfigError, FrequencyGrid, ModeSearchError,
                     admittance_bvp, calibrate_piezo_stiffness,
                     estimate_frequency, estimate_thickness, export_modes_csv,
-                    field_profile, find_modes, keff2, modal,
-                    qm_from_partition, strain_energy)
+                    find_modes, keff2, modal, qm_from_partition)
 from bawkit.acoustic1d import EnergyPartition
 from bawkit.materials import Layer, Stack
 
 from conftest import (AREA_30UM, CAL_BAND, make_metal, make_piezo, plate,
-                      random_stack)
+                      quadrature_energies, random_stack)
 
 # high-precision evaluation of the 12.8/13.2 GHz pair, frozen
 KEFF2_IEEE_PIN = 0.07255878919834874
@@ -328,8 +327,9 @@ def test_interior_extrema_matches_loop(values, maxima):
        backend=st.sampled_from(["bvp", "mason"]))
 @example(seed=0, tan_delta=0.0, backend="bvp")
 def test_mode_energies_match_profile_energies(seed, tan_delta, backend):
-    """find_modes grades every mode from one batched solve; each eta and
-    Qm equals the one from that mode's own field profile."""
+    """find_modes grades every mode from one batched closed-form energy
+    call; each eta and Qm matches 1024-node Gauss-Legendre quadrature of
+    that mode's own field profile."""
     stack = random_stack(np.random.default_rng(seed), tan_delta=tan_delta)
     try:
         modes = find_modes(stack, FrequencyGrid(0.5e9, 40e9, 2001), 4,
@@ -337,10 +337,13 @@ def test_mode_energies_match_profile_energies(seed, tan_delta, backend):
     except ModeSearchError:
         assume(False)
     for m in modes:
-        part = strain_energy(field_profile(stack, m.fs), stack)
-        assert m.eta == pytest.approx(part.eta, rel=1e-12)
+        per_layer = quadrature_energies(stack, m.fs)
+        total = sum(per_layer)
+        part = EnergyPartition(per_layer=tuple(per_layer), total=total,
+                               eta=per_layer[stack.piezo_index] / total)
+        assert m.eta == pytest.approx(part.eta, rel=1e-10)
         assert m.qm == pytest.approx(qm_from_partition(part, stack),
-                                     rel=1e-12)
+                                     rel=1e-10)
 
 
 def test_find_modes_backend_choice(calibrated_stack):

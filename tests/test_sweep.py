@@ -98,9 +98,26 @@ def test_fs_norm_uses_piezo_natural_frequency(grid4):
     assert grid4.f0_piezo == pytest.approx(f0, rel=1e-9)
 
 
+def test_normalized_grids_match_per_mode_loop(nominal):
+    """The uncalibrated nominal 5x5 map masks one cell; keff2_norm and
+    fom_norm equal, bit for bit, a per-mode division over solved cells."""
+    result = run_sweep(small_config(nominal, grid_n=5, n_modes=3,
+                                    band=FrequencyGrid(1.5e9, 34e9, 2201)))
+    assert int(result.mask.sum()) == 1
+    ok = ~result.mask
+    for name, raw in (("keff2_norm", result.keff2), ("fom_norm", result.fom)):
+        expected = np.full(raw.shape, np.nan)
+        for m in range(result.n_modes):
+            expected[ok, m] = raw[ok, m] / np.max(raw[ok, m])
+        got = getattr(result, name)
+        assert np.array_equal(got, expected, equal_nan=True), name
+        assert np.isnan(got[result.mask]).all()
+
+
 def test_result_grids_are_read_only(grid4):
-    with pytest.raises(ValueError):
-        grid4.fs[0, 0, 0] = 1.0
+    for name in CSV_METRICS:
+        with pytest.raises(ValueError):
+            getattr(grid4, name)[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         grid4.mask[0, 0] = True
 
