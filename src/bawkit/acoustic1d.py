@@ -21,7 +21,8 @@ Conventions: harmonic time dependence exp(+j*omega*t); layer-local
 coordinate z runs from the bottom face of each layer; v_star takes the
 principal square root so forward-propagating waves decay.  The drive is
 a unit voltage across the piezo layer; Y = j*omega*D*A/V, then a series
-electrical resistance rs is composed as Y/(1 + rs*Y).
+electrical resistance rs is composed as Y/(1 + rs*Y).  Both kernels are
+analytic in f and also take complex frequencies (real part > 0).
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ class PhysicsError(RuntimeError):
 class SingularFrequencyError(PhysicsError):
     """The system is singular at a frequency (lossless resonance)."""
 
-    def __init__(self, frequency: float, message: str | None = None):
+    def __init__(self, frequency: float | complex,
+                 message: str | None = None):
         self.frequency = frequency
         if message is None:
             message = (f"singular system at f = {frequency!r} Hz "
@@ -209,7 +211,7 @@ def _bvp_solve(stack: Stack, dc: DerivedConstants, freqs: np.ndarray):
         delta = top[0] / det
     bad = ~(np.isfinite(alpha) & np.isfinite(delta))
     if bad.any():
-        raise SingularFrequencyError(float(freqs[np.argmax(bad)]))
+        raise SingularFrequencyError(freqs[np.argmax(bad)].item())
     return pq, alpha, delta, u_scale
 
 
@@ -226,7 +228,7 @@ def _wave_amplitudes(pq, alpha: np.ndarray, delta: np.ndarray,
         amps = alpha * coef[:, :, 0] + delta * coef[:, :, 1]
     bad = ~np.isfinite(amps).all(axis=(0, 1))
     if bad.any():
-        raise SingularFrequencyError(float(freqs[np.argmax(bad)]))
+        raise SingularFrequencyError(freqs[np.argmax(bad)].item())
     return amps
 
 
@@ -236,17 +238,36 @@ def _compose_rs(y_raw: np.ndarray, rs: float) -> np.ndarray:
     return y_raw / (1.0 + rs * y_raw)
 
 
+def _kernel_frequencies(f) -> np.ndarray:
+    """f as a 1-D array: float for real input, complex for complex input.
+
+    Raises ConfigError unless every frequency is finite with a real part
+    > 0.  The checks run before any arithmetic, so a NaN or an infinity
+    never reaches the solve.
+    """
+    freqs = np.atleast_1d(np.asarray(f))
+    freqs = freqs.astype(complex if np.iscomplexobj(freqs) else float,
+                         copy=False)
+    if not np.isfinite(freqs).all():
+        raise ConfigError("frequencies must be finite")
+    if np.any(freqs.real <= 0):
+        raise ConfigError("frequencies must be > 0")
+    return freqs
+
+
 def admittance_bvp(stack: Stack, f) -> complex | np.ndarray:
     """Electrical admittance from the layered boundary-value problem.
 
     Args:
-        f: frequency in Hz, scalar or 1-D array; must be > 0.
+        f: frequency in Hz, scalar or 1-D array, finite and > 0.  Complex
+            frequencies (finite, real part > 0) are accepted too: the
+            admittance is analytic in f, and modal samples it on small
+            circles around real frequencies to take its derivatives.
+            Real input stays in real arithmetic.
     Returns:
         Complex admittance in siemens, matching the shape of f.
     """
-    freqs = np.atleast_1d(np.asarray(f, dtype=float))
-    if np.any(freqs <= 0):
-        raise ConfigError("frequencies must be > 0")
+    freqs = _kernel_frequencies(f)
     dc = derive_constants(stack)
     _, _, delta, _ = _bvp_solve(stack, dc, freqs)
     t_p = stack.t_piezo
@@ -292,11 +313,10 @@ def _chain_substack(stack, dc, omega, indices, termination):
 def admittance_mason(stack: Stack, f) -> complex | np.ndarray:
     """Electrical admittance from the loaded-plate closed form.
 
-    Same contract as admittance_bvp; exists as an independent oracle.
+    Same contract as admittance_bvp, complex frequencies included (the
+    closed form is analytic in f too); exists as an independent oracle.
     """
-    freqs = np.atleast_1d(np.asarray(f, dtype=float))
-    if np.any(freqs <= 0):
-        raise ConfigError("frequencies must be > 0")
+    freqs = _kernel_frequencies(f)
     dc = derive_constants(stack)
     omega = 2.0 * math.pi * freqs
     ip = dc.piezo_index
@@ -333,7 +353,7 @@ def admittance_mason(stack: Stack, f) -> complex | np.ndarray:
         y_raw = 1j * omega * dc.c0 / bracket
     bad = ~np.isfinite(y_raw)
     if np.any(bad):
-        raise SingularFrequencyError(float(freqs[np.argmax(bad)]))
+        raise SingularFrequencyError(freqs[np.argmax(bad)].item())
     y = _compose_rs(y_raw, stack.rs_electrical)
     if np.isscalar(f) or np.asarray(f).ndim == 0:
         return complex(y[0])
@@ -365,6 +385,8 @@ def field_profile(stack: Stack, f: float, points_per_layer: int = 64) -> FieldPr
     if points_per_layer < 64:
         points_per_layer = 64
     f = float(f)
+    if not math.isfinite(f):
+        raise ConfigError("frequency must be finite")
     if f <= 0:
         raise ConfigError("frequency must be > 0")
     dc = derive_constants(stack)
@@ -430,13 +452,15 @@ def _two_wave_integrals(a: np.ndarray, b: np.ndarray, k: np.ndarray,
 def strain_energy(stack: Stack, f) -> list[EnergyPartition]:
     """Per-layer time-averaged elastic strain energy U_i and eta at each f.
 
-    f is in Hz, a scalar or 1-D array, all > 0; returns one
+    f is in Hz, a scalar or 1-D array, all finite and > 0; returns one
     EnergyPartition per frequency.  U_i = (A/4) * int Re(c_star_i)
     |u'(z)|^2 dz, from the wave amplitudes of one batched BVP solve and
     the analytic two-wave antiderivative (no profile, no quadrature).
     eta is the piezo share of the total.
     """
     freqs = np.atleast_1d(np.asarray(f, dtype=float))
+    if not np.isfinite(freqs).all():
+        raise ConfigError("frequencies must be finite")
     if np.any(freqs <= 0):
         raise ConfigError("frequencies must be > 0")
     dc = derive_constants(stack)

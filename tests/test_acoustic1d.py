@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,53 @@ def test_invalid_frequency_rejected(nominal):
         admittance_bvp(nominal, -1.0)
     with pytest.raises(ConfigError):
         admittance_mason(nominal, 0.0)
+
+
+REAL_NON_FINITE = (math.nan, math.inf, -math.inf, [5e9, math.nan])
+COMPLEX_NON_FINITE = (complex(math.nan, 0.0), complex(5e9, math.inf))
+
+
+@pytest.mark.parametrize("func, f", [
+    (func, f) for func in (admittance_bvp, admittance_mason, strain_energy)
+    for f in REAL_NON_FINITE] + [
+    (kernel, f) for kernel in (admittance_bvp, admittance_mason)
+    for f in COMPLEX_NON_FINITE] + [
+    (field_profile, f) for f in REAL_NON_FINITE[:3]])
+def test_non_finite_frequency_rejected(nominal, func, f):
+    """A NaN or an infinity is a usage error, raised before numpy warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="must be finite"):
+            func(nominal, f)
+
+
+@pytest.mark.parametrize("kernel", [admittance_bvp, admittance_mason])
+def test_complex_frequencies(kernel):
+    """Both kernels are analytic in f: on the real axis a complex input
+    gives the real input's admittance, and off it the backends agree."""
+    for seed in range(5):
+        stack = random_stack(np.random.default_rng(seed))
+        f = np.linspace(0.5e9, 40e9, 301)
+        y = kernel(stack, f)
+        assert kernel(stack, f + 0j) == pytest.approx(y, rel=1e-14, abs=0)
+        z = f * (1.0 + 3e-4j * np.cos(f / 1e9))
+        assert kernel(stack, z) == pytest.approx(
+            admittance_bvp(stack, z), rel=1e-10, abs=0)
+    assert isinstance(kernel(stack, 5e9 + 1e4j), complex)
+    for bad in (-5e9 + 1e4j, 1e4j):
+        with pytest.raises(ConfigError, match="must be > 0"):
+            kernel(stack, bad)
+
+
+@pytest.mark.parametrize("kernel", [admittance_bvp, admittance_mason])
+def test_singular_complex_frequency_is_named(nominal, kernel):
+    # far below the real axis the layer phases overflow
+    f = 5e9 - 5e13j
+    with np.errstate(all="ignore"):
+        with pytest.raises(SingularFrequencyError) as info:
+            kernel(nominal, f)
+    assert info.value.frequency == f
+    assert repr(f) in str(info.value)
 
 
 def test_zero_coupling_reduces_to_static_capacitor():
@@ -386,7 +434,8 @@ def test_profile_z_grid_spans_stack(nominal):
     prof = field_profile(nominal, 8e9)
     total = sum(l.thickness for l in nominal.layers)
     assert prof.z_layers[0][0] == 0.0
-    assert prof.z_layers[-1][-1] == pytest.approx(total, rel=1e-12)
+    # abs=0: the default abs of 1e-12 would swamp a 5e-7 m stack height
+    assert prof.z_layers[-1][-1] == pytest.approx(total, rel=1e-12, abs=0)
     for z, u in zip(prof.z_layers, prof.u_layers):
         assert z.size >= 64 and u.size == z.size
 

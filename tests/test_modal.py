@@ -1,6 +1,7 @@
 """Mode detection, coupling definitions, Qm mixing, design estimator."""
 
 import csv
+import functools
 import math
 
 import numpy as np
@@ -253,14 +254,6 @@ def test_extrema_verified_by_local_sampling(calibrated_stack):
         assert mag[1] < mag[0] and mag[1] < mag[2]
 
 
-def test_refinement_tolerance_stability(calibrated_stack):
-    coarse = find_modes(calibrated_stack, CAL_BAND, 3, refine_tol=1e-9)
-    fine = find_modes(calibrated_stack, CAL_BAND, 3, refine_tol=1e-11)
-    for a, b in zip(coarse, fine):
-        assert abs(a.fs - b.fs) / b.fs < 1e-8
-        assert abs(a.fp - b.fp) / b.fp < 1e-8
-
-
 @pytest.mark.parametrize("backend", ["bvp", "mason"])
 def test_refinement_call_budget(nominal, monkeypatch, backend):
     name = f"admittance_{backend}"
@@ -276,23 +269,79 @@ def test_refinement_call_budget(nominal, monkeypatch, backend):
                        backend=backend)
     assert len(modes) == 3
     assert 0 not in calls, "scalar kernel call"
-    assert len(calls) <= 10
+    # the coarse scan, one zoom pass and two root passes
+    assert len(calls) <= 4
 
 
 @pytest.mark.parametrize("backend", ["bvp", "mason"])
 def test_default_tolerance_matches_tight_refinement(calibrated_stack,
                                                     backend):
-    default = find_modes(calibrated_stack, CAL_BAND, 3, backend=backend)
-    tight = find_modes(calibrated_stack, CAL_BAND, 3, backend=backend,
-                       refine_tol=1e-12)
-    # a zero tolerance ends once the brackets stop shrinking
-    exact = find_modes(calibrated_stack, CAL_BAND, 3, backend=backend,
-                       refine_tol=0.0)
-    assert len(default) == len(tight) == len(exact) == 3
-    for b, *others in zip(tight, default, exact):
-        for a in others:
-            assert abs(a.fs - b.fs) / b.fs < 1e-9
-            assert abs(a.fp - b.fp) / b.fp < 1e-9
+    """fs and fp converge as roots: the default tolerance already gives
+    them to 1e-13, and a zero tolerance ends at the pass cap."""
+    results = [find_modes(calibrated_stack, CAL_BAND, 3, backend=backend,
+                          refine_tol=tol) for tol in (1e-13, 1e-9, 1e-11, 0.0)]
+    assert [len(r) for r in results] == [3, 3, 3, 3]
+    tight, *others = results
+    for modes in others:
+        for a, b in zip(modes, tight):
+            assert a.fs == pytest.approx(b.fs, rel=1e-13, abs=0)
+            assert a.fp == pytest.approx(b.fp, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("attr, values", [
+    ("_CIRCLE_RADIUS", [3e-6, 1e-5, 1e-4]),
+    ("_CIRCLE_POINTS", [8, 12, 24, 32, 48]),
+])
+def test_roots_do_not_depend_on_the_circle(calibrated_stack, monkeypatch,
+                                           attr, values):
+    reference = find_modes(calibrated_stack, CAL_BAND, 3)
+    for value in values:
+        monkeypatch.setattr(modal, attr, value)
+        modes = find_modes(calibrated_stack, CAL_BAND, 3)
+        assert len(modes) == 3
+        for a, b in zip(modes, reference):
+            assert a.fs == pytest.approx(b.fs, rel=1e-12, abs=0), value
+            assert a.fp == pytest.approx(b.fp, rel=1e-12, abs=0), value
+
+
+def test_circle_derivative_matches_central_difference(calibrated_stack):
+    """Y' from the circle agrees with a central difference to within the
+    difference's own error, estimated from a step and its half."""
+    evaluate = functools.partial(admittance_bvp, calibrated_stack)
+    modes = find_modes(calibrated_stack, CAL_BAND, 3)
+    for f in (modes[0].fs, modes[0].fp, 7e9, modes[2].fp):
+        r = modal._CIRCLE_RADIUS * f
+        coef = modal._circle_taylor(evaluate, np.array([f]), np.array([r]))
+        slope = coef[0, 1] / r
+
+        def central(h):
+            return (evaluate(f + h) - evaluate(f - h)) / (2.0 * h)
+
+        h = 1e-5 * f
+        coarse, fine = central(h), central(h / 2)
+        # the O(h^2) error of the finer difference is about a third of
+        # the change from h to h / 2; 1e-10 allows for its rounding
+        truncation = abs(coarse - fine) / 3.0
+        rounding = 1e-10 * abs(slope)
+        assert abs(slope - fine) <= 1.5 * truncation + rounding
+        # Richardson's extrapolation cancels that error term
+        richardson = (4.0 * fine - coarse) / 3.0
+        assert abs(slope - richardson) <= 0.1 * truncation + rounding
+
+
+def test_backends_agree_to_rounding_on_thick_electrodes(calibrated_stack):
+    """The map's corner cell, both electrodes at 2 x t_piezo: fs and fp
+    are roots, so the two kernels put them equally to 1e-13."""
+    t = 2.0 * calibrated_stack.t_piezo
+    stack = (calibrated_stack.with_layer_thickness(0, t)
+             .with_layer_thickness(2, t))
+    band = FrequencyGrid(1.5e9, 34e9, 2201)
+    bvp = find_modes(stack, band, 3)
+    mason = find_modes(stack, band, 3, backend="mason")
+    assert len(bvp) == len(mason) == 3
+    for a, b in zip(bvp, mason):
+        assert a.fs == pytest.approx(b.fs, rel=1e-13, abs=0)
+        assert a.fp == pytest.approx(b.fp, rel=1e-13, abs=0)
 
 
 def _interior_extrema_loop(v, maxima):
@@ -382,23 +431,28 @@ CALIBRATION_TARGETS_HZ = [4.5e9 + 0.1e9 * k for k in range(9)]
 
 
 def test_calibration_call_budget(nominal, monkeypatch):
-    """The scale search stops at the refinement's resolution: no mode
-    search is spent below the 1e-9 width that fs is refined to."""
-    search = modal.find_modes
+    """Each trial scale costs one fs-only search and no find_modes call,
+    and the search stops once fs is within half the refinement tolerance
+    of the target."""
+    search = modal._lowest_fs
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(modal, "find_modes", counting)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("calibration called find_modes")
+
+    monkeypatch.setattr(modal, "_lowest_fs", counting)
+    monkeypatch.setattr(modal, "find_modes", forbidden)
     for target in CALIBRATION_TARGETS_HZ:
         calls.clear()
         stack, _ = calibrate_piezo_stiffness(nominal, target_fs=target,
                                              band=CAL_BAND)
-        assert len(calls) <= 10, (target, len(calls))
-        fs = search(stack, CAL_BAND, 1)[0].fs
-        assert abs(fs - target) / target <= 1e-9, (target, fs)
+        assert len(calls) <= 8, (target, len(calls))
+        fs = find_modes(stack, CAL_BAND, 1)[0].fs
+        assert abs(fs - target) <= 5e-10 * target, (target, fs)
 
 
 def test_calibration_scales_only_piezo_stiffness(nominal, calibrated):
