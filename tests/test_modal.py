@@ -254,6 +254,14 @@ def test_extrema_verified_by_local_sampling(calibrated_stack):
         assert mag[1] < mag[0] and mag[1] < mag[2]
 
 
+def test_refinement_tolerance_stability(calibrated_stack):
+    coarse = find_modes(calibrated_stack, CAL_BAND, 3, refine_tol=1e-9)
+    fine = find_modes(calibrated_stack, CAL_BAND, 3, refine_tol=1e-11)
+    for a, b in zip(coarse, fine):
+        assert abs(a.fs - b.fs) / b.fs < 1e-8
+        assert abs(a.fp - b.fp) / b.fp < 1e-8
+
+
 @pytest.mark.parametrize("backend", ["bvp", "mason"])
 def test_refinement_call_budget(nominal, monkeypatch, backend):
     name = f"admittance_{backend}"
