@@ -36,6 +36,7 @@ from .modal import (
     export_modes_csv,
     find_modes,
     keff2,
+    mode_count,
     qm_from_partition,
 )
 
@@ -51,6 +52,6 @@ __all__ = [
     "strain_energy",
     "ModeSearchError", "ModeSummary", "calibrate_piezo_stiffness",
     "estimate_frequency", "estimate_thickness", "export_modes_csv",
-    "find_modes", "keff2", "qm_from_partition",
+    "find_modes", "keff2", "mode_count", "qm_from_partition",
     "__version__",
 ]

@@ -482,6 +482,156 @@ def strain_energy(stack: Stack, f) -> list[EnergyPartition]:
     return partitions
 
 
+# ---------------------------------------------------------------------------
+# Open-circuit eigenfrequencies (Pruefer phase)
+
+
+def _prufer_layers(stack: Stack) -> list[tuple[float, float, float, float]]:
+    """(t / v, t, rho, Z) of each layer of the lossless open-circuit stack.
+
+    With D = 0 the piezo is an elastic layer of stiffness c33d, every
+    other layer keeps c33e, and the losses are dropped: Re(c_star).
+    """
+    dc = derive_constants(stack)
+    out = []
+    for lay, c in zip(stack.layers, dc.c_star):
+        rho = lay.material.density
+        v = math.sqrt(c.real / rho)
+        out.append((lay.thickness / v, lay.thickness, rho, rho * v))
+    return out
+
+
+def _interface(phi: float, s: float) -> tuple[float, float, float]:
+    """The phase across an interface that rescales tan(phi) by s on the
+    same branch, with the sine and cosine of phi reduced to (-pi/2, pi/2]
+    before it."""
+    m = math.floor(phi / math.pi + 0.5) * math.pi
+    sin_p, cos_p = math.sin(phi - m), math.cos(phi - m)
+    return m + math.atan2(s * sin_p, cos_p), sin_p, cos_p
+
+
+def _prufer_phase(phi: float, steps, omega: float) -> tuple[float, float]:
+    """The Pruefer phase at the top of the stack and its omega-derivative.
+
+    In each layer u = R sin(phi) and T / (Z omega) = R cos(phi), so phi
+    grows by omega t / v across the layer and R stays put.  Continuity of
+    u and T at an interface rescales tan(phi) by s = Z_{i+1} / Z_i on the
+    same branch.  phi is the phase at the bottom, and steps holds the
+    (t / v, s) pair of each layer, with s = 0 for the top one.  The phase
+    rises strictly with omega (Pryce, Numerical Solution of Sturm-Liouville
+    Problems, 1993).
+    """
+    dphi = 0.0
+    for tau, s in steps:
+        phi += omega * tau
+        dphi += tau
+        if s:
+            phi, sin_p, cos_p = _interface(phi, s)
+            dphi *= s / (cos_p * cos_p + s * s * sin_p * sin_p)
+    return phi, dphi
+
+
+def _coupling_weight(stack: Stack, layers, phi: float, omega: float) -> float:
+    """h^2 eps (u(t_p) - u(0))^2 / (t_p omega^2 int rho u^2 dz) of the
+    mode shape u that the Pruefer phase phi (at the bottom) traces at
+    omega; the amplitude R of u = R sin(phi) changes only at interfaces.
+    """
+    ip = stack.piezo_index
+    radius, mass, du = 1.0, 0.0, 0.0
+    for i, (tau, t, rho, z) in enumerate(layers):
+        phi0, phi = phi, phi + omega * tau
+        # int_0^t sin^2(phi0 + k z) dz with k t = omega tau
+        mass += rho * radius * radius * t * (
+            0.5 - (math.sin(2.0 * phi) - math.sin(2.0 * phi0))
+            / (4.0 * omega * tau))
+        if i == ip:
+            du = radius * (math.sin(phi) - math.sin(phi0))
+        if i + 1 < len(layers):
+            s = layers[i + 1][3] / z
+            phi, sin_p, cos_p = _interface(phi, s)
+            radius *= math.sqrt(sin_p * sin_p + cos_p * cos_p / (s * s))
+    pm = stack.layers[ip].material
+    return (pm.e33 ** 2 / pm.eps33s) * du * du / (
+        stack.t_piezo * omega * omega * mass)
+
+
+def _open_circuit_theta(stack: Stack, f_max: float):
+    """theta(omega) -> (theta, dtheta/domega) for the lossless open-circuit
+    stack, with (first, layers, start) for _open_circuit_modes.
+
+    The Pruefer phase starts at pi/2 at a free bottom (T = 0) and at 0 at
+    a rigid one (u = 0), and targets pi/2 (free) or 0 (rigid) modulo pi at
+    the top.  So theta = (phi_top - target) / pi is an integer exactly at
+    the eigenfrequencies; first is the integer it reaches at the lowest
+    one above zero.  Raises ConfigError when the phase at f_max is not
+    finite: the stack is too thick for its modes below f_max to be
+    counted.
+    """
+    layers = _prufer_layers(stack)
+    steps = [(tau, nxt[3] / z) for (tau, _, _, z), nxt in
+             zip(layers, layers[1:])] + [(layers[-1][0], 0.0)]
+    start = 0.5 * math.pi if stack.boundary_bottom == "free" else 0.0
+    target = 0.5 * math.pi if stack.boundary_top == "free" else 0.0
+    # each interface moves the phase by less than pi/2
+    if not math.isfinite(2.0 * math.pi * f_max * sum(t for t, _ in steps)):
+        raise ConfigError(
+            f"the open-circuit mode count below {f_max:.6g} Hz is not "
+            f"finite: the stack is too thick")
+
+    def theta(w):
+        phi, dphi = _prufer_phase(start, steps, w)
+        return (phi - target) / math.pi, dphi / math.pi
+
+    first = math.floor((start - target) / math.pi) + 1
+    return theta, first, layers, start
+
+
+def _open_circuit_modes(stack: Stack, f_min: float, f_max: float):
+    """Yield (mode_number, f, weight) for each eigenfrequency f of the
+    lossless open-circuit stack in [f_min, f_max], in ascending order.
+
+    mode_number counts the eigenfrequencies from the lowest above zero
+    (_open_circuit_theta), so it is the physical mode index.  Each root
+    comes from Newton's method on theta, safeguarded by bisection on its
+    bracket.  weight is the mode's coupling to the electrodes
+    (_coupling_weight): the separation (fp^2 - fs^2) / fp^2 it would have
+    if no other mode coupled, 8 kt^2 / (n pi)^2 for the n-th mode of a
+    bare plate and 0 for a mode the electrodes cannot drive.
+    """
+    theta, first, layers, start = _open_circuit_theta(stack, f_max)
+    two_pi = 2.0 * math.pi
+    lo, th_lo = two_pi * f_min, theta(two_pi * f_min)[0]
+    w_max = two_pi * f_max
+    th_max = theta(w_max)[0]
+    for m in range(math.ceil(th_lo), math.floor(th_max) + 1):
+        a, b = lo, w_max
+        # the chord of theta across the bracket starts Newton
+        w = a + (m - th_lo) * (b - a) / (th_max - th_lo) \
+            if th_max > th_lo else a
+        while True:
+            th, dth = theta(w)
+            if th == m:
+                break
+            if th < m:
+                a = w
+            else:
+                b = w
+            step = w - (th - m) / dth
+            if a < step < b:
+                # Newton converges quadratically: after a step of 1e-8
+                # the next one would be at rounding level
+                if abs(step - w) <= 1e-8 * w:
+                    w = step
+                    break
+            else:
+                step = 0.5 * (a + b)
+                if step in (a, b):
+                    break
+            w = step
+        yield m - first, w / two_pi, _coupling_weight(stack, layers, start, w)
+        lo, th_lo = w, float(m)
+
+
 def export_spectrum_csv(curve: AdmittanceCurve, path) -> None:
     """Write freq_hz,re_y_s,im_y_s rows with 17 significant digits."""
     cols = np.column_stack((curve.frequencies, curve.y.real, curve.y.imag))

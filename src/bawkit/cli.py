@@ -29,7 +29,7 @@ from .mbvd import (FREQUENCY_UNITS, ConversionError, TouchstoneError,
                    parse_touchstone, transmission_admittance)
 from .modal import (ModeSearchError, calibrate_piezo_stiffness,
                     estimate_frequency, estimate_thickness, export_modes_csv,
-                    find_modes)
+                    find_modes, mode_count)
 from .sweep import (BandCoverageError, SweepConfig, export_sweep_csv,
                     render_heatmap, run_sweep)
 
@@ -184,6 +184,13 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep varies the layers adjacent to the piezo; "
                           "the stack needs one on each side")
     band = FrequencyGrid(fmin, fmax, args.band_points)
+    thick = hi * stack.t_piezo
+    try:
+        mode_count(stack.with_layer_thickness(ip - 1, thick)
+                   .with_layer_thickness(ip + 1, thick), fmax)
+    except ConfigError as exc:
+        raise ConfigError(f"--range {args.range}: at the thickest cell, "
+                          f"{exc}") from None
     config = {"stack": args.stack, "grid": args.grid, "range": args.range,
               "modes": args.modes, "band": args.band,
               "band_points": args.band_points, "jobs": args.jobs,
@@ -304,7 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--band", required=True,
                    help=f"scan band <fmin>:<fmax> ({freq_help})")
     p.add_argument("--band-points", type=int, default=1601,
-                   help="coarse scan samples per cell (default 1601)")
+                   help="band samples (default 1601); recorded in the "
+                        "manifest, but modes are found from the band's "
+                        "limits alone")
     p.add_argument("--heatmaps", action="store_true",
                    help="also render one SVG per metric and mode")
     p.add_argument("--jobs", type=int, default=1,

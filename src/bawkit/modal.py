@@ -1,35 +1,42 @@
 """Mode extraction and figure-of-merit bookkeeping.
 
-fs is a local maximum of Re(Y) (conductance peak), fp the adjacent local
+The modes are numbered physically.  Dropping the losses and holding the
+electrodes open (D = 0) leaves a regular Sturm-Liouville problem whose
+eigenfrequencies a Pruefer phase counts and numbers exactly (acoustic1d's
+open-circuit kernel); mode_number n is the n-th of them from the
+fundamental, and a mode belongs to a band when its open-circuit root
+lies in [f_min, f_max].  The band sets only these limits: its n_points
+steers nothing.
+
+fs is then a local maximum of Re(Y) (conductance peak) and fp the local
 minimum of |Y| above it.  Both are refined as roots: fs of Re Y', fp of
 Re(conj(Y) Y').  The kernels are analytic in frequency, so Y's Taylor
 coefficients come from samples on a small circle in the complex plane.
-After the coarse scan and one zoom pass, each pass evaluates the circles
-of all open roots in one vector kernel call and takes a safeguarded
-Newton step.  eta and Qm of every mode come from one strain_energy call
-at all the fs values.  Modes are indexed by ascending fs within the
-analyzed band; no attempt is made to classify which physical overtone
-each one is.  calibrate_piezo_stiffness runs the same search for mode
-0's fs alone.
+One circle call at all open-circuit roots seeds the search, fp at the
+root and fs at the nearest pole of Y; each later pass evaluates the
+circles of all open roots in one vector kernel call and takes a
+safeguarded Newton step.  A mode whose coupling lies so far below 1/Qm
+that |Y| has no minimum is flagged coupling_null and reported by its
+lossless (fs, fp) pair.  eta and Qm of every mode come from one
+strain_energy call at all the fs values.  calibrate_piezo_stiffness runs
+the same search for mode 0, without the energies.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .acoustic1d import EnergyPartition, FrequencyGrid, admittance_bvp, \
+from .acoustic1d import EnergyPartition, FrequencyGrid, \
+    _open_circuit_modes, _open_circuit_theta, admittance_bvp, \
     admittance_mason, strain_energy
 from .materials import ConfigError, Stack
 
 KEFF2_DEFINITIONS = ("separation", "ieee", "approx")
-
-# interior samples per bracket in the one zoom pass, which shrinks a
-# coarse bracket by 2 / (_ZOOM_POINTS + 1)
-_ZOOM_POINTS = 64
 
 # Y is sampled on a circle of _CIRCLE_POINTS points, radius
 # _CIRCLE_RADIUS * f, around each estimate f.  The circle must stay well
@@ -47,6 +54,9 @@ _MAX_PASSES = 40
 
 # relative step at which find_modes stops refining fs and fp
 _REFINE_TOL = 1e-9
+# an open-circuit root whose coupling weight lies below this has fs and
+# fp closer than the refinement tolerance: it is no resonance of Y
+_INERT_WEIGHT = _REFINE_TOL
 
 
 class ModeSearchError(RuntimeError):
@@ -55,16 +65,23 @@ class ModeSearchError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModeSummary:
-    """One extracted mode with its coupled-resonator metrics."""
+    """One extracted mode with its coupled-resonator metrics.
+
+    mode_index is the mode's place in the list find_modes returns,
+    mode_number its physical index counted from the fundamental (0).  A
+    coupling_null mode couples so weakly that |Y| has no minimum near it;
+    its fs, fp and keff2 are those of the lossless stack.
+    """
 
     mode_index: int
+    mode_number: int
     fs: float
     fp: float
     keff2: float
     eta: float
     qm: float
     fom: float
-    keff2_definition: str
+    coupling_null: bool
 
 
 def keff2(fs: float, fp: float, definition: str = "ieee") -> float:
@@ -127,11 +144,13 @@ def estimate_thickness(mode_order: int, velocity: float, frequency: float) -> fl
     return mode_order * velocity / (2.0 * frequency)
 
 
-def _interior_extrema(values: np.ndarray, maxima: bool) -> np.ndarray:
-    """Indices of strict interior maxima (or minima) of a 1-D array."""
-    v = values if maxima else -values
-    mid = v[1:-1]
-    return np.flatnonzero((mid > v[:-2]) & (mid > v[2:])) + 1
+def mode_count(stack: Stack, f: float) -> int:
+    """How many modes of the stack lie below f, coupled or not: the
+    eigenfrequencies of its lossless open-circuit problem below f, which
+    number the modes (ModeSummary.mode_number).  Raises ConfigError when
+    the count is not finite."""
+    theta, first, _, _ = _open_circuit_theta(stack, f)
+    return max(0, math.ceil(theta(2.0 * math.pi * f)[0]) - first)
 
 
 def _kernel(stack: Stack, backend: str):
@@ -141,49 +160,6 @@ def _kernel(stack: Stack, backend: str):
     if backend == "mason":
         return functools.partial(admittance_mason, stack)
     raise ConfigError(f"backend must be 'bvp' or 'mason', got {backend!r}")
-
-
-def _coarse_brackets(evaluate, band: FrequencyGrid, max_modes: int):
-    """Scan the band; return it with the fs and fp sample of each mode.
-
-    Returns (freqs, fs_idx, fp_idx): fs_idx[k] is mode k's conductance
-    peak and fp_idx[k] the first |Y| minimum above it, for up to
-    max_modes modes whose fp lies in the band.  A trailing peak whose fp
-    lies beyond the band is dropped.  Raises ModeSearchError when the
-    band holds no complete mode, or when a peak has no |Y| minimum
-    before the next peak.
-    """
-    freqs = band.frequencies()
-    y = evaluate(freqs)
-
-    max_idx = _interior_extrema(y.real, maxima=True)
-    if not max_idx.size:
-        raise ModeSearchError("no resonance found in band")
-    min_idx = _interior_extrema(np.abs(y), maxima=False)
-
-    # one extra peak past max_modes serves as the fp search boundary;
-    # anything beyond that never influences the result.  The fp bracket
-    # of a peak is the first |Y| minimum before the next peak.
-    max_idx = max_idx[:max_modes + 1]
-    fs_idx: list[int] = []
-    fp_idx: list[int] = []
-    for k, i in enumerate(max_idx[:max_modes]):
-        next_i = max_idx[k + 1] if k + 1 < len(max_idx) else len(freqs)
-        pos = np.searchsorted(min_idx, i, side="right")
-        if pos == min_idx.size or min_idx[pos] >= next_i:
-            # malformed unless this is the last peak in the band, whose
-            # fp lies beyond it: that trailing mode is dropped
-            if k + 1 < len(max_idx):
-                raise ModeSearchError(
-                    f"no |Y| minimum found between the conductance peak "
-                    f"at {freqs[i]:.6g} Hz and the next resonance; band "
-                    f"appears malformed")
-            break
-        fs_idx.append(i)
-        fp_idx.append(min_idx[pos])
-    if not fs_idx:
-        raise ModeSearchError("no resonance found in band")
-    return freqs, np.array(fs_idx), np.array(fp_idx)
 
 
 @functools.lru_cache(maxsize=None)
@@ -230,119 +206,230 @@ def _root_function(coef: list, t: float, peak: bool) -> tuple[float, float]:
     return (yc * yt).real, abs(yt) ** 2 + 2.0 * (yc * ytt).real
 
 
-def _refine_roots(evaluate, freqs: np.ndarray, centre: np.ndarray,
-                  peak: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Refine every coarse extremum freqs[centre] together; return them.
+def _model_newton(coef: list, x: float, r: float, lo: float, hi: float,
+                  peak: bool):
+    """Newton's method on the Taylor model coef of the circle of radius r
+    around x, from x.
+
+    Returns the root function's value at x, and the root the model steps
+    reach inside [lo, hi] narrowed by that value's sign, or None when the
+    first step leaves the bracket or meets a slope of the wrong sign.
+    """
+    q0, dq = _root_function(coef, 0.0, peak)
+    if q0 < 0.0:
+        lo = x
+    else:
+        hi = x
+    q, tb, fb = q0, 0.0, None
+    for _ in range(_MODEL_STEPS):
+        if not dq > 0.0:
+            break
+        tn = tb - q / dq
+        fn = x + r * tn
+        if not lo <= fn <= hi or fn == fb:
+            break
+        tb, fb = tn, fn
+        q, dq = _root_function(coef, tb, peak)
+    return q0, fb
+
+
+def _taylor_tails(c: np.ndarray) -> np.ndarray:
+    """True where the coefficients of order n/2 and up do not decay: a
+    pole lies near or inside the circle, which must shrink."""
+    mag = np.abs(c)
+    order = _CIRCLE_POINTS // 2
+    return mag[:, order:].max(axis=1) > _TAIL_RATIO * mag[:, :order].max(axis=1)
+
+
+def _refine_roots(evaluate, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  peak: np.ndarray, first: list, rel_tol: float):
+    """Refine every root from its start x in its bracket [lo, hi].
 
     A peak entry is an fs, the root of Re Y' (a maximum of Re Y); the
-    others are fp, the root of Re(conj(Y) Y') (a minimum of |Y|).
+    others are fp, the root of Re(conj(Y) Y') (a minimum of |Y|).  Both
+    root functions rise through their root.
 
-    One zoom pass samples _ZOOM_POINTS interior points of each
-    [freqs[c - 1], freqs[c + 1]] in one evaluate call.  Its best sample
-    starts the search, and its two neighbours bracket the root.  Each
-    later pass takes the Taylor coefficients on the circles around all
-    open estimates in one call (_circle_taylor).  The sign of the root
-    function at the centre narrows the bracket, and Newton's method on
-    the Taylor model of order n/2 - 1 (n = _CIRCLE_POINTS) gives the
-    next estimate.  A model step that leaves the bracket, or a slope of
-    the wrong sign, bisects instead.  When the coefficients of order n/2
-    and up do not decay, a pole lies near or inside the circle (a
-    resonance narrower than it): the circle shrinks and that pass takes
-    no step.  An estimate closes after a model step of at most
-    rel_tol * f, or once its bracket is at most rel_tol * f wide; all
-    close after _MAX_PASSES passes.
+    Each pass takes the Taylor coefficients on the circles around all
+    open estimates in one call (_circle_taylor); first[b], unless None,
+    holds root b's coefficients for its first pass, already taken around
+    its start.  The sign of the root function at the centre
+    narrows the bracket, and Newton's method on the Taylor model of order
+    n/2 - 1 (n = _CIRCLE_POINTS) gives the next estimate (_model_newton).
+    Where it fails, the estimate bisects the bracket, or moves onto the
+    end it heads for while no sign has confirmed that end.  When the
+    coefficients of order n/2 and up do not decay (_taylor_tails), a pole
+    lies near or inside the circle (a resonance narrower than it): the
+    circle shrinks and that pass takes no step.  An estimate closes after
+    a model step of at most rel_tol * f, or once its bracket is at most
+    rel_tol * f wide; all close after _MAX_PASSES passes.
+
+    Returns the estimates and whether each was found: one that ends next
+    to a bracket end that no sign confirmed has no root in its bracket.
     """
-    lo = freqs[centre - 1]
-    hi = freqs[centre + 1]
-    t = np.arange(1, _ZOOM_POINTS + 1) / (_ZOOM_POINTS + 1)
-    grid = lo[:, None] + (hi - lo)[:, None] * t
-    y = evaluate(grid.ravel()).reshape(grid.shape)
-    best = np.argmax(np.where(peak[:, None], y.real, -np.abs(y)), axis=1)
-    rows = np.arange(centre.size)
-    x = grid[rows, best].tolist()
-    lo = np.where(best > 0, grid[rows, np.maximum(best - 1, 0)], lo).tolist()
-    hi = np.where(best < _ZOOM_POINTS - 1,
-                  grid[rows, np.minimum(best + 1, _ZOOM_POINTS - 1)],
-                  hi).tolist()
+    x, lo, hi = x.tolist(), lo.tolist(), hi.tolist()
     radius = [_CIRCLE_RADIUS * f for f in x]
     peak = peak.tolist()
-
+    sure_lo, sure_hi = [False] * len(x), [False] * len(x)
     order = _CIRCLE_POINTS // 2
-    live = list(range(centre.size))
+
+    def step(b, coef, too_wide) -> bool:
+        """One pass of root b; True while it stays open."""
+        if too_wide:
+            radius[b] /= _SHRINK
+            return True
+        xb = x[b]
+        q, f = _model_newton(coef, xb, radius[b], lo[b], hi[b], peak[b])
+        if q == 0.0:
+            sure_lo[b] = sure_hi[b] = True
+            return False
+        if q < 0.0:
+            lo[b], sure_lo[b] = xb, True
+        else:
+            hi[b], sure_hi[b] = xb, True
+        if f is not None:
+            x[b] = f
+            return abs(f - xb) > rel_tol * xb
+        if q > 0.0 and not sure_lo[b]:
+            x[b] = lo[b]
+        elif q < 0.0 and not sure_hi[b]:
+            x[b] = hi[b]
+        else:
+            x[b] = 0.5 * (lo[b] + hi[b])
+        return hi[b] - lo[b] > rel_tol * x[b]
+
+    live = list(range(len(x)))
+    given = [b for b in live if first[b] is not None]
+    if given:
+        c = np.array([first[b] for b in given])
+        done = {b for b, coef, too_wide in zip(
+            given, c[:, :order].tolist(), _taylor_tails(c).tolist())
+            if not step(b, coef, too_wide)}
+        live = [b for b in live if b not in done]
     for _ in range(_MAX_PASSES):
         if not live:
             break
         c = _circle_taylor(evaluate, np.array([x[b] for b in live]),
                            np.array([radius[b] for b in live]))
-        mag = np.abs(c)
-        wide = (mag[:, order:].max(axis=1)
-                > _TAIL_RATIO * mag[:, :order].max(axis=1))
-        still = []
-        for b, coef, too_wide in zip(live, c[:, :order].tolist(),
-                                     wide.tolist()):
-            if too_wide:
-                radius[b] /= _SHRINK
-                still.append(b)
-                continue
-            xb, rb, pk = x[b], radius[b], peak[b]
-            q, dq = _root_function(coef, 0.0, pk)
-            if q == 0.0:
-                continue
-            if q < 0.0:
-                lo[b] = xb
-            else:
-                hi[b] = xb
-            newton = False
-            tb, fb = 0.0, xb
-            for _ in range(_MODEL_STEPS):
-                if not dq > 0.0:
-                    break
-                tn = tb - q / dq
-                fn = xb + rb * tn
-                if not lo[b] <= fn <= hi[b]:
-                    break
-                newton = True
-                if fn == fb:
-                    break
-                tb, fb = tn, fn
-                q, dq = _root_function(coef, tb, pk)
-            if newton:
-                x[b] = fb
-                if abs(fb - xb) > rel_tol * xb:
-                    still.append(b)
-            else:
-                x[b] = 0.5 * (lo[b] + hi[b])
-                if hi[b] - lo[b] > rel_tol * x[b]:
-                    still.append(b)
-        live = still
-    return np.array(x)
+        live = [b for b, coef, too_wide in zip(
+            live, c[:, :order].tolist(), _taylor_tails(c).tolist())
+            if step(b, coef, too_wide)]
+    near = max(rel_tol, _REFINE_TOL)
+    found = [not ((not sure_lo[b] and x[b] - lo[b] <= near * x[b])
+                  or (not sure_hi[b] and hi[b] - x[b] <= near * x[b]))
+             for b in range(len(x))]
+    return np.array(x), np.array(found)
+
+
+def _lossless(stack: Stack) -> Stack:
+    """The stack with every loss dropped: lossless layers, no dielectric
+    loss, no series resistance."""
+    layers = tuple(replace(lay, material=replace(lay.material, lossless=True,
+                                                 tan_delta=0.0))
+                   for lay in stack.layers)
+    return replace(stack, layers=layers, rs_electrical=0.0)
+
+
+def _lossless_fs(stack: Stack, backend: str, f_oc: np.ndarray,
+                 weight: np.ndarray) -> np.ndarray:
+    """fs of the lossless stack just below each open-circuit root f_oc.
+
+    Near a root w_n the lossless impedance is (beta(w) - K / (w_n^2 -
+    w^2)) / (j w C0), with K = weight * w_n^2 and beta smooth, so fs
+    solves w^2 = w_n^2 - K / beta(w).  Each pass reads beta off one
+    lossless kernel call at the current estimates.  The fixed point is
+    the pole of Y whatever the error in K, which only sets how fast it
+    converges: a pass that moves no estimate by more than 1e-8 leaves
+    them at rounding level, and the loop stops before a kernel call can
+    land on the pole itself.
+    """
+    evaluate = _kernel(_lossless(stack), backend)
+    piezo = stack.layers[stack.piezo_index]
+    c0 = piezo.material.eps33s * stack.area / piezo.thickness
+    w2 = (2.0 * math.pi * f_oc) ** 2
+    k = weight * w2
+    x = w2 - k
+    for _ in range(_MAX_PASSES):
+        omega = np.sqrt(x)
+        y = evaluate(omega / (2.0 * math.pi))
+        beta = (1j * omega * c0 / y).real + k / (w2 - x)
+        x_new = w2 - k / beta
+        done = np.all(np.abs(x_new - x) <= 1e-8 * x)
+        x = x_new
+        if done:
+            break
+    return np.sqrt(x) / (2.0 * math.pi)
+
+
+def _search(stack: Stack, band: FrequencyGrid, max_modes: int,
+            backend: str, rel_tol: float):
+    """(mode numbers, fs, fp, coupling-null flags) of up to max_modes
+    modes whose open-circuit root lies in the band.
+
+    The lossless open-circuit roots (acoustic1d's Pruefer count) number
+    the modes; a root whose coupling weight is below _INERT_WEIGHT is no
+    resonance of Y and is skipped.  One circle call at all roots seeds
+    the search: fp starts at the root, and that circle is its first pass;
+    fs starts at the nearest pole of Y, root + r c2 / c3 from the Taylor
+    coefficients c.  A lossy fs can lie above its lossless root, so the
+    roots do not bracket fs.  A mode whose lossy fs or fp has no root in
+    its bracket is coupling-null: its coupling lies so far below 1/Qm
+    that |Y| has no minimum.  Its fs and fp are the lossless pair instead.
+    """
+    roots = list(itertools.islice(
+        ((n, f, w) for n, f, w in _open_circuit_modes(stack, band.f_min,
+                                                      band.f_max)
+         if w >= _INERT_WEIGHT), max_modes))
+    if not roots:
+        raise ModeSearchError("no resonance found in band")
+    numbers, f_oc, weight = (np.array(v) for v in zip(*roots))
+    evaluate = _kernel(stack, backend)
+    r = _CIRCLE_RADIUS * f_oc
+    c = _circle_taylor(evaluate, f_oc, r)
+    with np.errstate(all="ignore"):
+        pole = f_oc + r * c[:, 2] / c[:, 3]
+    pole = np.where(np.isfinite(pole), pole, f_oc)
+    fs0 = pole.real
+    # fs lies within twice the resonance's half-width |Im pole| of the
+    # pole, or at most as far from it as the root is; fp lies between
+    # the pole and the root plus that same margin
+    half = np.maximum(2.0 * np.abs(pole.imag), f_oc - fs0)
+    fp_hi = f_oc + half
+    at_root = (fs0 < f_oc) & (f_oc < fp_hi)
+    k = f_oc.size
+    x, found = _refine_roots(
+        evaluate, np.concatenate((fs0, np.where(at_root, f_oc,
+                                                0.5 * (fs0 + fp_hi)))),
+        np.concatenate((fs0 - half, fs0)), np.concatenate((fs0 + half, fp_hi)),
+        np.arange(2 * k) < k,
+        [None] * k + [row if ok else None for row, ok in zip(c, at_root)],
+        rel_tol)
+    fs, fp = x[:k], x[k:]
+    null = ~(found[:k] & found[k:] & (fp > fs))
+    if null.any():
+        fs[null] = _lossless_fs(stack, backend, f_oc[null], weight[null])
+        fp[null] = f_oc[null]
+    return numbers, fs, fp, null
 
 
 def find_modes(stack: Stack, band: FrequencyGrid, max_modes: int, *,
-               backend: str = "bvp", refine_tol: float = _REFINE_TOL,
-               keff2_definition: str = "ieee") -> list[ModeSummary]:
+               backend: str = "bvp",
+               refine_tol: float = _REFINE_TOL) -> list[ModeSummary]:
     """Locate up to max_modes (fs, fp) pairs in the band and grade them.
 
-    The band grid is the coarse scan.  Each conductance peak and the
-    adjacent |Y| minimum above it are refined together as roots (see
-    _refine_roots) until a Newton step is at most refine_tol relative.
-    eta and Qm are evaluated at fs, for all modes in one strain_energy
-    call, whatever the backend.  A trailing resonance whose fp lies
-    beyond the band is dropped.
+    The modes are those whose lossless open-circuit eigenfrequency lies in
+    [band.f_min, band.f_max], numbered physically (mode_number) from the
+    fundamental; the band sets only these limits, and its n_points plays
+    no part.  fs and fp are refined as roots (see _refine_roots) until a
+    Newton step is at most refine_tol relative; a coupling-null mode
+    reports its lossless pair (see _search).  eta and Qm are evaluated at
+    fs, for all modes in one strain_energy call, whatever the backend.
+    keff2 is the IEEE definition.
     """
     if max_modes < 1:
         raise ConfigError(f"max_modes must be >= 1, got {max_modes}")
-    if keff2_definition not in KEFF2_DEFINITIONS:
-        raise ConfigError(
-            f"keff2 definition must be one of {KEFF2_DEFINITIONS}, "
-            f"got {keff2_definition!r}")
-    evaluate = _kernel(stack, backend)
-    freqs, fs_idx, fp_idx = _coarse_brackets(evaluate, band, max_modes)
-    centre = np.concatenate((fs_idx, fp_idx))
-    refined = _refine_roots(evaluate, freqs, centre,
-                            np.arange(centre.size) < fs_idx.size, refine_tol)
-    fs_all = refined[:fs_idx.size]
-    pairs = list(zip(fs_all.tolist(), refined[fs_idx.size:].tolist()))
+    numbers, fs_all, fp_all, null = _search(stack, band, max_modes, backend,
+                                            refine_tol)
+    pairs = list(zip(fs_all.tolist(), fp_all.tolist()))
     for fs, fp in pairs:
         if not fp > fs:
             raise ModeSearchError(
@@ -350,44 +437,45 @@ def find_modes(stack: Stack, band: FrequencyGrid, max_modes: int, *,
 
     partitions = strain_energy(stack, fs_all)
     modes = []
-    for n, ((fs, fp), partition) in enumerate(zip(pairs, partitions)):
+    for n, ((fs, fp), number, is_null, partition) in enumerate(zip(
+            pairs, numbers.tolist(), null.tolist(), partitions)):
         qm = qm_from_partition(partition, stack)
-        k2 = keff2(fs, fp, keff2_definition)
+        k2 = keff2(fs, fp)
         modes.append(ModeSummary(
             mode_index=n,
+            mode_number=number,
             fs=fs,
             fp=fp,
             keff2=k2,
             eta=partition.eta,
             qm=qm,
             fom=k2 * qm,
-            keff2_definition=keff2_definition,
+            coupling_null=is_null,
         ))
     return modes
 
 
 def export_modes_csv(modes: list[ModeSummary], path) -> None:
-    """Write mode,fs_hz,fp_hz,keff2,eta,qm,fom,keff2_def rows."""
+    """Write mode,fs_hz,fp_hz,keff2,eta,qm,fom,keff2_def rows; keff2_def
+    is always ieee, the definition find_modes uses."""
     lines = ["mode,fs_hz,fp_hz,keff2,eta,qm,fom,keff2_def"]
     for m in modes:
         lines.append(
             f"{m.mode_index},{m.fs:.17g},{m.fp:.17g},{m.keff2:.17g},"
-            f"{m.eta:.17g},{m.qm:.17g},{m.fom:.17g},{m.keff2_definition}")
+            f"{m.eta:.17g},{m.qm:.17g},{m.fom:.17g},ieee")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def _lowest_fs(stack: Stack, band: FrequencyGrid) -> float:
-    """fs of mode 0 alone: find_modes(stack, band, 1)[0].fs without fp.
-
-    The same coarse scan and bracket selection as find_modes, so it
-    raises ModeSearchError in the same cases, and the same refinement of
-    fs; fp, the energies and Qm are never computed.
-    """
-    evaluate = _kernel(stack, "bvp")
-    freqs, fs_idx, _ = _coarse_brackets(evaluate, band, 1)
-    return float(_refine_roots(evaluate, freqs, fs_idx, np.ones(1, bool),
-                               _REFINE_TOL)[0])
+    """fs of mode 0, the fundamental: find_modes(stack, band, 1)[0].fs
+    from the same search, without the energies and Qm.  Raises
+    ModeSearchError when the band holds no mode 0."""
+    numbers, fs, _, _ = _search(stack, band, 1, "bvp", _REFINE_TOL)
+    if numbers[0] != 0:
+        raise ModeSearchError(f"the band holds no mode 0; its lowest mode "
+                              f"is mode {numbers[0]}")
+    return float(fs[0])
 
 
 def calibrate_piezo_stiffness(stack: Stack, target_fs: float,
@@ -398,9 +486,10 @@ def calibrate_piezo_stiffness(stack: Stack, target_fs: float,
     matching the measured fundamental with a single scalar on c33e is the
     documented way to anchor the model.  Returns (calibrated stack, scale).
     The scale is searched in [0.5, 2], and the band must contain mode 0
-    for every scale in that bracket.  Each trial scale costs one fs-only
-    mode search, which refines fs as find_modes does but skips fp, the
-    energies and Qm.  A bracketed secant search over the scale stops at
+    for every scale tried: a trial that moves mode 0 below the band
+    raises ModeSearchError.  Each trial scale costs one search of mode 0
+    (_lowest_fs), which refines fs and fp as find_modes does but skips
+    the energies and Qm.  A bracketed secant search over the scale stops at
     the first trial whose fs lies within _REFINE_TOL / 2 of target_fs,
     relative: half the tolerance find_modes refines fs to.
     """

@@ -124,13 +124,17 @@ class SweepResult:
 
 
 def _eval_cell(payload) -> list[tuple] | None:
-    """Run modal analysis for one grid cell; None marks a masked cell."""
+    """Run modal analysis for one grid cell; None marks a masked cell.
+
+    Mode plane m holds the mode with mode_number m, so a cell whose band
+    misses any of the modes 0 .. n_modes - 1 is masked.
+    """
     stack, band, n_modes = payload
     try:
         modes = find_modes(stack, band, max_modes=n_modes)
     except (ModeSearchError, PhysicsError):
         return None
-    if len(modes) < n_modes:
+    if [m.mode_number for m in modes] != list(range(n_modes)):
         return None
     return [(m.fs, m.keff2, m.eta, m.qm, m.fom) for m in modes]
 

@@ -205,6 +205,26 @@ def test_design_sweep_structure(calibrated_stack):
     ])
 
 
+def test_design_map_numbers_modes_physically(calibrated_stack):
+    """On the calibrated nominal 25x25 map over 1.5-34 GHz, no interior
+    cell is masked, and in every mode plane fs never rises as either
+    electrode thickens: mass loading lowers every eigenfrequency
+    (Rosenbaum, Bulk Acoustic Wave Theory and Devices, 1988)."""
+    cfg = SweepConfig(base=calibrated_stack, top_layer_index=2,
+                      bottom_layer_index=0,
+                      band=FrequencyGrid(1.5e9, 34e9, 2201),
+                      grid_n=25, n_modes=3)
+    result = run_sweep(cfg, jobs=2)
+    rows = [("no interior cell masked", not result.mask[1:-1, 1:-1].any(),
+             f"{int(result.mask.sum())} of {result.mask.size} cells masked")]
+    for axis, layer in ((0, "bottom"), (1, "top")):
+        rises = [int(np.sum(np.diff(result.fs[:, :, m], axis=axis) >= 0))
+                 for m in range(3)]
+        rows.append((f"fs never rises as the {layer} electrode thickens",
+                     rises == [0, 0, 0], f"rising pairs per mode {rises}"))
+    evidence(rows)
+
+
 # 6 -- circuit-fit round trips ---------------------------------------------------
 
 def test_mbvd_recovery_tolerances():

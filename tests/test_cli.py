@@ -288,6 +288,20 @@ def test_sweep_range_validation(stack_file, tmp_path, capsys):
         assert not out.exists(), text
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sweep_range_too_thick_to_count(stack_file, tmp_path, capsys):
+    """A range whose thickest cell has no finite mode count below the
+    band's top is a configuration error that names --range, raised before
+    any cell is solved and without a numpy warning."""
+    out = tmp_path / "x"
+    code = cli.main(["sweep", "--stack", str(stack_file), "--range",
+                     "0.2:1e308", "--grid", "3", "--band", "1.5:34",
+                     "--out", str(out)])
+    assert code == 2
+    assert "--range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_uncovered_band_exits_4(stack_file, tmp_path, capsys):
     code = cli.main(["sweep", "--stack", str(stack_file), "--grid", "2",
                      "--modes", "3", "--band", "40:45",

@@ -10,10 +10,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bawkit import (ConfigError, FrequencyGrid, ModeSearchError,
-                    admittance_bvp, calibrate_piezo_stiffness,
+                    admittance_bvp, admittance_mason,
+                    calibrate_piezo_stiffness, derive_constants,
                     estimate_frequency, estimate_thickness, export_modes_csv,
-                    find_modes, keff2, modal, qm_from_partition)
-from bawkit.acoustic1d import EnergyPartition
+                    find_modes, keff2, modal, mode_count, qm_from_partition)
+from bawkit.acoustic1d import EnergyPartition, _open_circuit_modes
 from bawkit.materials import Layer, Stack
 
 from conftest import (AREA_30UM, CAL_BAND, make_metal, make_piezo, plate,
@@ -199,6 +200,8 @@ def test_bare_plate_overtones_are_odd():
     assert len(modes) == 3
     for mode, n in zip(modes, (1, 3, 5)):
         assert abs(mode.fp - n * f0) / (n * f0) < 1e-6
+    # the even overtones cannot be driven, but they keep their numbers
+    assert [m.mode_number for m in modes] == [0, 2, 4]
 
 
 def test_antiresonance_sharpens_toward_lossless_plate():
@@ -240,7 +243,8 @@ def test_mode_list_invariants(calibrated_stack):
         assert 0 < m.eta < 1
         assert 200.0 <= m.qm <= 2000.0
         assert m.fom == m.keff2 * m.qm
-        assert m.keff2_definition == "ieee"
+        assert not m.coupling_null
+    assert [m.mode_number for m in modes] == [0, 1, 2]
     assert modes[0].fs < modes[1].fs < modes[2].fs
 
 
@@ -277,8 +281,8 @@ def test_refinement_call_budget(nominal, monkeypatch, backend):
                        backend=backend)
     assert len(modes) == 3
     assert 0 not in calls, "scalar kernel call"
-    # the coarse scan, one zoom pass and two root passes
-    assert len(calls) <= 4
+    # the seed circles and two root passes
+    assert len(calls) <= 3
 
 
 @pytest.mark.parametrize("backend", ["bvp", "mason"])
@@ -337,6 +341,40 @@ def test_circle_derivative_matches_central_difference(calibrated_stack):
         assert abs(slope - richardson) <= 0.1 * truncation + rounding
 
 
+def test_circle_taylor_matches_mpmath_derivatives():
+    """The circle's Taylor coefficients of a bare plate's admittance match
+    mpmath's 40-digit derivatives of its closed form Y = j w C0 / (1 -
+    kt2 tan(theta/2) / (theta/2)), at fs, at fp and off resonance."""
+    mpmath = pytest.importorskip("mpmath")
+    pz = make_piezo(q_mech=300.0, tan_delta=1e-3)
+    t = 250e-9
+    stack = plate(pz, t)
+    dc = derive_constants(stack)
+    evaluate = functools.partial(admittance_bvp, stack)
+    with mpmath.workdps(40):
+        c_star = mpmath.mpc(dc.c_star[0])
+        v_star = mpmath.sqrt(c_star / pz.density)
+        kt2 = pz.e33 * dc.h_piezo / c_star
+        c0 = mpmath.mpc(dc.c0)
+
+        def y(f):
+            half = mpmath.pi * f * t / v_star
+            return 2j * mpmath.pi * f * c0 / (1 - kt2 * mpmath.tan(half) / half)
+
+        mode = find_modes(stack, FrequencyGrid(14e9, 20e9, 2), 1)[0]
+        for f in (mode.fs, mode.fp, 11e9):
+            r = modal._CIRCLE_RADIUS * f
+            coef = modal._circle_taylor(evaluate, np.array([f]),
+                                        np.array([r]))[0]
+            exact = [complex(c) * r ** m for m, c in
+                     enumerate(mpmath.taylor(y, mpmath.mpf(f), 3))]
+            # Y' itself to 1e-10, and every coefficient to the kernel's
+            # own rounding, 1e-12 of Y
+            assert abs(exact[1] - coef[1]) <= 1e-10 * abs(exact[1]), f
+            for m in range(4):
+                assert abs(exact[m] - coef[m]) <= 1e-12 * abs(coef[0]), (f, m)
+
+
 def test_backends_agree_to_rounding_on_thick_electrodes(calibrated_stack):
     """The map's corner cell, both electrodes at 2 x t_piezo: fs and fp
     are roots, so the two kernels put them equally to 1e-13."""
@@ -350,32 +388,6 @@ def test_backends_agree_to_rounding_on_thick_electrodes(calibrated_stack):
     for a, b in zip(bvp, mason):
         assert a.fs == pytest.approx(b.fs, rel=1e-13, abs=0)
         assert a.fp == pytest.approx(b.fp, rel=1e-13, abs=0)
-
-
-def _interior_extrema_loop(v, maxima):
-    idx = []
-    for i in range(1, len(v) - 1):
-        if maxima:
-            if v[i] > v[i - 1] and v[i] > v[i + 1]:
-                idx.append(i)
-        elif v[i] < v[i - 1] and v[i] < v[i + 1]:
-            idx.append(i)
-    return idx
-
-
-@given(values=st.lists(st.sampled_from([0.0, 1.0, 2.0]) | st.floats(),
-                       max_size=40),
-       maxima=st.booleans())
-@example(values=[], maxima=True)
-@example(values=[1.0], maxima=False)
-@example(values=[0.0, 1.0], maxima=True)
-@example(values=[0.0, 1.0, 0.0], maxima=True)
-@example(values=[1.0, 0.0, 1.0], maxima=False)
-@example(values=[0.0, 1.0, 1.0, 0.0], maxima=True)
-def test_interior_extrema_matches_loop(values, maxima):
-    v = np.array(values, dtype=float)
-    got = modal._interior_extrema(v, maxima)
-    assert got.tolist() == _interior_extrema_loop(v, maxima)
 
 
 @settings(max_examples=30, deadline=None)
@@ -422,7 +434,7 @@ def test_modes_csv_round_trip(calibrated_stack, tmp_path):
         assert int(row[0]) == m.mode_index
         assert float(row[1]) == m.fs
         assert float(row[3]) == m.keff2
-        assert row[7] == m.keff2_definition
+        assert row[7] == "ieee"
 
 
 # -- calibration -------------------------------------------------------------
@@ -479,3 +491,156 @@ def test_calibration_rejects_unreachable_target(nominal):
     with pytest.raises((ConfigError, ModeSearchError)):
         calibrate_piezo_stiffness(nominal, target_fs=40e9,
                                   band=FrequencyGrid(3e9, 15e9, 601))
+
+
+# -- physical mode numbers ---------------------------------------------------
+
+def open_circuit_residual(stack, freqs):
+    """Top boundary residual of the lossless open-circuit stack, by 2x2
+    transfer matrices of displacement and stress: zero exactly at its
+    eigenfrequencies, and sharing no code with the Pruefer count."""
+    omega = 2 * math.pi * freqs
+    free = stack.boundary_bottom == "free"
+    u = np.full(freqs.shape, 1.0 if free else 0.0)
+    stress = np.full(freqs.shape, 0.0 if free else 1.0)
+    for lay in stack.layers:
+        mat = lay.material
+        c = mat.c33d if lay.role == "piezo" else mat.c33e
+        v = math.sqrt(c / mat.density)
+        zw = mat.density * v * omega
+        th = omega * lay.thickness / v
+        u, stress = (u * np.cos(th) + stress * np.sin(th) / zw,
+                     stress * np.cos(th) - u * zw * np.sin(th))
+    return stress if stack.boundary_top == "free" else u
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@example(seed=0)
+def test_mode_count_matches_dense_root_scan(seed):
+    """The Pruefer phase numbers the lossless open-circuit eigenfrequencies
+    of random stacks, free and rigid ends alike, exactly as the sign
+    changes of a dense scan of their boundary residual do."""
+    stack = random_stack(np.random.default_rng(seed))
+    freqs = np.linspace(1e6, 40e9, 80001)
+    res = open_circuit_residual(stack, freqs)
+    cross = np.flatnonzero(np.signbit(res[1:]) != np.signbit(res[:-1]))
+    roots = list(_open_circuit_modes(stack, freqs[0], freqs[-1]))
+    assert [n for n, _, _ in roots] == list(range(cross.size))
+    for (_, f, _), i in zip(roots, cross):
+        assert freqs[i] <= f <= freqs[i + 1]
+    for k in range(0, freqs.size, 8000):
+        assert mode_count(stack, freqs[k]) == np.count_nonzero(cross < k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@example(seed=0)
+def test_lossless_fs_and_fp_interlace(seed):
+    """The lossless fs (poles of Y) and fp (its zeros, the open-circuit
+    roots of every coupled mode) interlace, free and rigid ends alike."""
+    stack = random_stack(np.random.default_rng(seed))
+    roots = [(f, w) for _, f, w in _open_circuit_modes(stack, 0.5e9, 40e9)
+             if w >= modal._INERT_WEIGHT]
+    assume(roots)
+    fp, weight = (np.array(v) for v in zip(*roots))
+    fs = modal._lossless_fs(stack, "bvp", fp, weight)
+    assert np.all(fs < fp)
+    assert np.all(fp[:-1] < fs[1:])
+    # each fs is a pole of the lossless Y: Im(1/Y) changes sign across it
+    lossless = modal._lossless(stack)
+    step = 1e-3 * (fp - fs)
+    below = (1 / admittance_bvp(lossless, fs - step)).imag
+    above = (1 / admittance_bvp(lossless, fs + step)).imag
+    assert np.all(np.sign(below) == -np.sign(above))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       tan_delta=st.sampled_from([0.0, 1e-3]))
+@example(seed=0, tan_delta=0.0)
+def test_backends_give_the_same_mode_list(seed, tan_delta):
+    """BVP and Mason number the same modes and flag the same ones as
+    coupling-null, and put their fs and fp together to 1e-9."""
+    stack = random_stack(np.random.default_rng(seed), tan_delta=tan_delta)
+    band = FrequencyGrid(0.5e9, 40e9, 2)
+    try:
+        bvp = find_modes(stack, band, 4)
+    except ModeSearchError:
+        with pytest.raises(ModeSearchError):
+            find_modes(stack, band, 4, backend="mason")
+        return
+    mason = find_modes(stack, band, 4, backend="mason")
+    assert ([(m.mode_number, m.coupling_null) for m in bvp]
+            == [(m.mode_number, m.coupling_null) for m in mason])
+    for a, b in zip(bvp, mason):
+        assert a.fs == pytest.approx(b.fs, rel=1e-9, abs=0)
+        assert a.fp == pytest.approx(b.fp, rel=1e-9, abs=0)
+
+
+def test_bare_plate_coupling_weights():
+    """A bare plate's n-th open-circuit mode has the coupling weight
+    8 kt2 / (n pi)^2 when n is odd and none when it is even, free ends;
+    clamped on both faces, the piezo cannot be driven at all."""
+    pz = make_piezo()
+    stack = plate(pz, 250e-9)
+    modes = list(_open_circuit_modes(stack, 1e9, 100e9))
+    assert [n for n, _, _ in modes] == [0, 1, 2, 3, 4]
+    for n, _, weight in modes:
+        if n % 2:
+            assert weight < 1e-30
+        else:
+            want = 8 * pz.kt2_mat / ((n + 1) * math.pi) ** 2
+            assert weight == pytest.approx(want, rel=1e-12)
+    clamped = plate(pz, 250e-9, boundary_bottom="rigid", boundary_top="rigid")
+    assert all(w < 1e-30 for _, _, w in _open_circuit_modes(clamped, 1e9,
+                                                            100e9))
+
+
+def test_coupling_null_mode_reports_its_lossless_pair(calibrated_stack,
+                                                      monkeypatch):
+    """With Pt 150 nm and AlSiCu 175 nm, mode 1 couples so weakly that
+    |Y| has no minimum near it.  It is flagged, not dropped: fp is its
+    open-circuit root, fs a pole of the lossless Y, keff2 from that pair.
+    Telling that the minimum is missing takes no extra pass."""
+    stack = (calibrated_stack.with_layer_thickness(0, 150e-9)
+             .with_layer_thickness(2, 175e-9))
+    band = FrequencyGrid(3e9, 16e9, 2)
+    kernel = modal.admittance_bvp
+    calls = []
+
+    def counting(stack, f):
+        calls.append(np.size(f))
+        return kernel(stack, f)
+
+    monkeypatch.setattr(modal, "admittance_bvp", counting)
+    modes = find_modes(stack, band, 3)
+    monkeypatch.undo()
+    # the seed circles, two root passes and two lossless passes for fs
+    assert len(calls) <= 5, calls
+    assert [m.mode_number for m in modes] == [0, 1, 2]
+    assert [m.coupling_null for m in modes] == [False, True, False]
+    null = modes[1]
+    roots = {n: f for n, f, _ in _open_circuit_modes(stack, 3e9, 16e9)}
+    assert null.fp == roots[1]
+    assert null.keff2 == keff2(null.fs, null.fp)
+    assert 0 < null.keff2 < 1e-4
+    lossless = modal._lossless(stack)
+    step = 1e-3 * (null.fp - null.fs)
+    y = admittance_mason(lossless, np.array([null.fs - step, null.fs + step]))
+    assert np.sign((1 / y[0]).imag) == -np.sign((1 / y[1]).imag)
+    # the lossy search finds no |Y| minimum between the modes around it
+    f = np.linspace(modes[0].fp * 1.01, modes[2].fs * 0.99, 20001)
+    mag = np.abs(admittance_bvp(stack, f))
+    assert not np.any((mag[1:-1] < mag[:-2]) & (mag[1:-1] < mag[2:]))
+
+
+def test_mode_count_is_finite_or_config_error(nominal):
+    assert mode_count(nominal, 1e9) == 0
+    assert mode_count(nominal, 34e9) == len(
+        list(_open_circuit_modes(nominal, 1e6, 34e9)))
+    huge = nominal.with_layer_thickness(0, 1e305)
+    with pytest.raises(ConfigError, match="not finite"):
+        mode_count(huge, 34e9)
+    with pytest.raises(ConfigError, match="not finite"):
+        find_modes(huge, FrequencyGrid(1.5e9, 34e9, 2), 3)

@@ -1,9 +1,11 @@
 """Thickness-sweep grids, CSV export, and SVG heatmap rendering."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from bawkit import FrequencyGrid, find_modes
+from bawkit import FrequencyGrid, find_modes, mode_count, sweep
 from bawkit.materials import ConfigError
 from bawkit.sweep import (HEATMAP_METRICS, BandCoverageError, SweepConfig,
                           SweepResult, export_sweep_csv, render_heatmap,
@@ -98,20 +100,36 @@ def test_fs_norm_uses_piezo_natural_frequency(grid4):
     assert grid4.f0_piezo == pytest.approx(f0, rel=1e-9)
 
 
-def test_normalized_grids_match_per_mode_loop(nominal):
-    """The uncalibrated nominal 5x5 map masks one cell; keff2_norm and
-    fom_norm equal, bit for bit, a per-mode division over solved cells."""
-    result = run_sweep(small_config(nominal, grid_n=5, n_modes=3,
-                                    band=FrequencyGrid(1.5e9, 34e9, 2201)))
-    assert int(result.mask.sum()) == 1
-    ok = ~result.mask
-    for name, raw in (("keff2_norm", result.keff2), ("fom_norm", result.fom)):
-        expected = np.full(raw.shape, np.nan)
-        for m in range(result.n_modes):
-            expected[ok, m] = raw[ok, m] / np.max(raw[ok, m])
-        got = getattr(result, name)
-        assert np.array_equal(got, expected, equal_nan=True), name
-        assert np.isnan(got[result.mask]).all()
+def test_normalized_grids_match_per_mode_loop(nominal, monkeypatch):
+    """keff2_norm and fom_norm equal, bit for bit, a per-mode division over
+    solved cells: on the uncalibrated nominal 5x5 map, which solves every
+    cell, and on the same map with one cell masked by hand."""
+    cfg = small_config(nominal, grid_n=5, n_modes=3,
+                       band=FrequencyGrid(1.5e9, 34e9, 2201))
+    full = run_sweep(cfg)
+    assert not full.mask.any()
+    # mask the cell that holds mode 0's best keff2, so the maxima move
+    hole = np.unravel_index(np.argmax(full.keff2[:, :, 0]), full.mask.shape)
+    evaluate = sweep._eval_cell
+    cells = itertools.count()
+
+    def masking(payload):
+        cell = next(cells)
+        return None if cell == hole[0] * 5 + hole[1] else evaluate(payload)
+
+    monkeypatch.setattr(sweep, "_eval_cell", masking)
+    masked = run_sweep(cfg)
+    assert masked.mask.sum() == 1 and masked.mask[hole]
+    for result in (full, masked):
+        ok = ~result.mask
+        for name, raw in (("keff2_norm", result.keff2),
+                          ("fom_norm", result.fom)):
+            expected = np.full(raw.shape, np.nan)
+            for m in range(result.n_modes):
+                expected[ok, m] = raw[ok, m] / np.max(raw[ok, m])
+            got = getattr(result, name)
+            assert np.array_equal(got, expected, equal_nan=True), name
+            assert np.isnan(got[result.mask]).all()
 
 
 def test_result_grids_are_read_only(grid4):
@@ -133,6 +151,19 @@ def test_parallel_run_is_bit_identical(nominal):
         b = getattr(pooled, name)
         assert np.array_equal(a, b, equal_nan=True), name
     assert np.array_equal(serial.mask, pooled.mask)
+
+
+def test_mode_planes_hold_mode_numbers(nominal):
+    """Plane 0 holds mode 0 in every cell: a cell whose fundamental lies
+    below the band is masked, not filled with its next mode."""
+    cfg = small_config(nominal, grid_n=3, band=FrequencyGrid(3.5e9, 11e9, 2))
+    result = run_sweep(cfg)
+    axis = cfg.thickness_axis()
+    below = np.array([[mode_count(nominal.with_layer_thickness(0, tb)
+                                  .with_layer_thickness(2, tt), 3.5e9) > 0
+                       for tt in axis] for tb in axis])
+    assert below.any() and not below.all()
+    assert np.array_equal(result.mask, below)
 
 
 def test_band_missing_all_modes_raises(nominal):
