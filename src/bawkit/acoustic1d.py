@@ -139,9 +139,10 @@ def _bvp_solve(stack: Stack, dc: DerivedConstants, freqs: np.ndarray):
     Returns the elimination state (pq, alpha, delta, u_scale): pq[i] is
     layer i's (P, Q) coefficient pair as two (2, n) arrays, one for each
     of a_i and b_i, and alpha and delta are (n,) arrays.  Callers that
-    need the amplitudes assemble them with _wave_amplitudes.  Raises
-    SingularFrequencyError at the first frequency where alpha or delta
-    is not finite.
+    need the amplitudes assemble them with _wave_amplitudes.  At the
+    first frequency where alpha or delta is not finite, raises
+    SingularFrequencyError, or ConfigError when the stack is too thick
+    for the double range (_non_finite_error).
     """
     n = freqs.shape[0]
     nlay = len(stack.layers)
@@ -172,46 +173,48 @@ def _bvp_solve(stack: Stack, dc: DerivedConstants, freqs: np.ndarray):
         b0[1] = (-1j / s_lay[0]) * hd
     pq = [(a0, b0)]
 
-    for i, lay in enumerate(stack.layers):
-        ep = np.exp(jomega * (lay.thickness / dc.v_star[i]))
-        em = 1.0 / ep
-        a, b = pq[i]
-        ea = em * a
-        eb = ep * b
-        if i == ip:
-            # Unit-voltage row: delta - chi * (u(t_p) - u(0)) = 1.
-            chi = pm.e33 * u_scale / dc.eps_star
-            volt = chi * (a + b - ea - eb)
-            volt[1] += 1.0
-        if i == nlay - 1:
-            break
-        # Interface rows: a' + b' = ea + eb (displacement) and
-        # a' - b' = r * (ea - eb) + j * c * delta / s_{i+1} (stress), with
-        # c = -hd on the piezo's top face and +hd on its bottom face.
-        r = s_lay[i] / s_lay[i + 1]
-        na = (0.5 + 0.5 * r) * ea + (0.5 - 0.5 * r) * eb
-        nb = (0.5 - 0.5 * r) * ea + (0.5 + 0.5 * r) * eb
-        if ip in (i, i + 1):
-            dq = (0.5j if i + 1 == ip else -0.5j) / s_lay[i + 1] * hd
-            na[1] += dq
-            nb[1] -= dq
-        pq.append((na, nb))
-
-    # Top boundary row, last layer at z = t: zero stress or displacement.
-    if stack.boundary_top == "free":
-        top = ea - eb
-        if ip == nlay - 1:
-            top[1] -= (1j / s_lay[-1]) * hd
-    else:
-        top = ea + eb
-
+    # the factors exp(+-j omega t / v_star) may leave the double range
+    # in a thick lossy layer; _non_finite_error tells that apart
     with np.errstate(all="ignore"):
+        for i, lay in enumerate(stack.layers):
+            ep = np.exp(jomega * (lay.thickness / dc.v_star[i]))
+            em = 1.0 / ep
+            a, b = pq[i]
+            ea = em * a
+            eb = ep * b
+            if i == ip:
+                # Unit-voltage row: delta - chi * (u(t_p) - u(0)) = 1.
+                chi = pm.e33 * u_scale / dc.eps_star
+                volt = chi * (a + b - ea - eb)
+                volt[1] += 1.0
+            if i == nlay - 1:
+                break
+            # Interface rows: a' + b' = ea + eb (displacement) and
+            # a' - b' = r * (ea - eb) + j * c * delta / s_{i+1} (stress), with
+            # c = -hd on the piezo's top face and +hd on its bottom face.
+            r = s_lay[i] / s_lay[i + 1]
+            na = (0.5 + 0.5 * r) * ea + (0.5 - 0.5 * r) * eb
+            nb = (0.5 - 0.5 * r) * ea + (0.5 + 0.5 * r) * eb
+            if ip in (i, i + 1):
+                dq = (0.5j if i + 1 == ip else -0.5j) / s_lay[i + 1] * hd
+                na[1] += dq
+                nb[1] -= dq
+            pq.append((na, nb))
+
+        # Top boundary row, last layer at z = t: zero stress or displacement.
+        if stack.boundary_top == "free":
+            top = ea - eb
+            if ip == nlay - 1:
+                top[1] -= (1j / s_lay[-1]) * hd
+        else:
+            top = ea + eb
+
         det = top[0] * volt[1] - top[1] * volt[0]
         alpha = -top[1] / det
         delta = top[0] / det
     bad = ~(np.isfinite(alpha) & np.isfinite(delta))
     if bad.any():
-        raise SingularFrequencyError(freqs[np.argmax(bad)].item())
+        raise _non_finite_error(stack, dc, freqs[np.argmax(bad)].item())
     return pq, alpha, delta, u_scale
 
 
@@ -236,6 +239,40 @@ def _compose_rs(y_raw: np.ndarray, rs: float) -> np.ndarray:
     if rs == 0.0:
         return y_raw
     return y_raw / (1.0 + rs * y_raw)
+
+
+# Wave attenuation, in nepers summed over the layers, past which the BVP's
+# exp(+-j omega t / v_star) factors or Mason's cos and sin of a lossy
+# layer can leave the double range: half the natural log of the largest
+# double, about 355.  The BVP's products overflow near twice that; a
+# singular (lossless) resonance has next to none.
+_MAX_NEPERS = 0.5 * math.log(np.finfo(float).max)
+
+
+def _non_finite_error(stack: Stack, dc: DerivedConstants,
+                      freq: float | complex) -> Exception:
+    """The error to raise for a kernel result that is not finite at freq.
+
+    When the stack's own attenuation, taken at the real part of freq, is
+    beyond _MAX_NEPERS, the overflow is the stack's: a ConfigError naming
+    its most attenuating layer.  Otherwise freq is a singular frequency,
+    or a complex one too far from the real axis.  Called only after a
+    result fails its finiteness check, so it costs the normal path
+    nothing.
+    """
+    f_real = freq.real
+    omega = 2.0 * math.pi * f_real
+    nepers = [abs((1j * omega * lay.thickness / v).real)
+              for lay, v in zip(stack.layers, dc.v_star)]
+    if sum(nepers) > _MAX_NEPERS:
+        i = int(np.argmax(nepers))
+        lay = stack.layers[i]
+        return ConfigError(
+            f"layer {i} ({lay.material.name}, {lay.thickness:g} m) "
+            f"attenuates waves by exp({nepers[i]:.4g}) at {f_real:.6g} Hz "
+            f"(exp({sum(nepers):.4g}) over the stack), beyond the double "
+            f"range: the stack is too thick")
+    return SingularFrequencyError(freq)
 
 
 def _kernel_frequencies(f) -> np.ndarray:
@@ -323,37 +360,39 @@ def admittance_mason(stack: Stack, f) -> complex | np.ndarray:
     piezo = stack.layers[ip]
     pm = piezo.material
 
-    z_p = dc.z_acoustic[ip]
-    th_p = omega * (piezo.thickness / dc.v_star[ip])
-    cos_p = np.cos(th_p)
-    sin_p = np.sin(th_p)
-    one_m_cos = 2.0 * np.sin(0.5 * th_p) ** 2
-
-    # Normalized loads as projective pairs; z = num / (den * z_p).
-    nt, dt = _chain_substack(stack, dc, omega,
-                             list(range(ip + 1, len(stack.layers))),
-                             stack.boundary_top)
-    nb, db = _chain_substack(stack, dc, omega,
-                             list(range(ip - 1, -1, -1)),
-                             stack.boundary_bottom)
-    dt = dt * z_p
-    db = db * z_p
-
-    s_sum = nt * db + nb * dt
-    p_prod = nt * nb
-    q_prod = dt * db
-
-    # Coupling term keeps the lossy stiffened constant: e33*h/c_star.
-    kt2_c = pm.e33 * dc.h_piezo / dc.c_star[ip] if pm.e33 != 0.0 else 0.0
-
+    # cos and sin of a thick lossy layer may leave the double range;
+    # _non_finite_error tells that apart
     with np.errstate(all="ignore"):
+        z_p = dc.z_acoustic[ip]
+        th_p = omega * (piezo.thickness / dc.v_star[ip])
+        cos_p = np.cos(th_p)
+        sin_p = np.sin(th_p)
+        one_m_cos = 2.0 * np.sin(0.5 * th_p) ** 2
+
+        # Normalized loads as projective pairs; z = num / (den * z_p).
+        nt, dt = _chain_substack(stack, dc, omega,
+                                 list(range(ip + 1, len(stack.layers))),
+                                 stack.boundary_top)
+        nb, db = _chain_substack(stack, dc, omega,
+                                 list(range(ip - 1, -1, -1)),
+                                 stack.boundary_bottom)
+        dt = dt * z_p
+        db = db * z_p
+
+        s_sum = nt * db + nb * dt
+        p_prod = nt * nb
+        q_prod = dt * db
+
+        # Coupling term keeps the lossy stiffened constant: e33*h/c_star.
+        kt2_c = pm.e33 * dc.h_piezo / dc.c_star[ip] if pm.e33 != 0.0 else 0.0
+
         numer = s_sum * sin_p + 2j * one_m_cos * q_prod
         denom = s_sum * cos_p + 1j * (q_prod + p_prod) * sin_p
         bracket = 1.0 - (kt2_c / th_p) * (numer / denom)
         y_raw = 1j * omega * dc.c0 / bracket
     bad = ~np.isfinite(y_raw)
     if np.any(bad):
-        raise SingularFrequencyError(freqs[np.argmax(bad)].item())
+        raise _non_finite_error(stack, dc, freqs[np.argmax(bad)].item())
     y = _compose_rs(y_raw, stack.rs_electrical)
     if np.isscalar(f) or np.asarray(f).ndim == 0:
         return complex(y[0])

@@ -6,10 +6,17 @@ static branch (c0 in series with r0), the pair behind a series electrode
 resistance rs.  Fitting runs in log-parameter space (positivity for free)
 against the relative complex admittance residual, seeded by closed-form
 heuristics from the conductance peak and the off-resonance susceptance.
+The solver is MINPACK's Levenberg-Marquardt `lmder` with the exact
+Jacobian, called through scipy's `leastsq`, which gives every supported
+scipy (>= 1.10) MINPACK's own variable scaling; `least_squares` passed
+diag = 1/x_scale before scipy 1.16.
 
 Touchstone handling is a hand-rolled version-1 tokenizer because the
 acceptance contract requires line-numbered rejection of malformed files,
-which no off-the-shelf parser provides.
+which no off-the-shelf parser provides.  Besides bad syntax it rejects a
+reference impedance that is not finite and > 0, an S value that is not
+finite, and a frequency that is not > 0 or not finite in Hz.  Frequencies
+move into Hz by an exact decimal shift, so they round once.
 """
 
 from __future__ import annotations
@@ -59,8 +66,9 @@ class TouchstoneData:
             raise ConfigError("need frequencies (n,) and s (n, 2, 2)")
         if f.size >= 2 and not np.all(np.diff(f) > 0):
             raise ConfigError("frequencies must be strictly increasing")
-        if not self.z0 > 0:
-            raise ConfigError(f"reference impedance must be > 0, got {self.z0}")
+        if not 0 < self.z0 < math.inf:
+            raise ConfigError(
+                f"reference impedance must be finite and > 0, got {self.z0}")
         if self.unit not in FREQUENCY_UNITS:
             raise ConfigError(f"unknown frequency unit {self.unit!r}")
         if self.data_format not in DATA_FORMATS:
@@ -83,12 +91,15 @@ def parse_touchstone(text: str) -> TouchstoneData:
     order, case-insensitive, defaults GHZ/S/MA/50).  Data lines hold
     9 columns per frequency point -- f, then S11 S21 S12 S22 as value
     pairs -- and records may wrap across lines.  Errors carry the line
-    number they were detected on.
+    number they were detected on.  Rejected besides bad syntax: a
+    reference impedance that is not finite and > 0, a value that is not
+    finite, and a frequency that is not > 0 or is not finite in Hz.
     """
     unit, fmt, z0 = "GHZ", "MA", 50.0
     param = "S"
     saw_option = False
-    tokens: list[tuple[str, int]] = []
+    rows: list[list[str]] = []      # the value tokens of each data line
+    row_lines: list[int] = []       # and that line's number
     lines = text.splitlines()
     for ln_no, raw in enumerate(lines, start=1):
         line = _strip_comment(raw).strip()
@@ -97,7 +108,7 @@ def parse_touchstone(text: str) -> TouchstoneData:
         if line.startswith("#"):
             if saw_option:
                 raise TouchstoneError(ln_no, "duplicate option line")
-            if tokens:
+            if rows:
                 raise TouchstoneError(ln_no, "option line after data")
             saw_option = True
             toks = line[1:].upper().split()
@@ -114,8 +125,11 @@ def parse_touchstone(text: str) -> TouchstoneData:
                     try:
                         z0 = float(toks[i + 1])
                     except ValueError:
+                        z0 = math.nan
+                    if not 0 < z0 < math.inf:
                         raise TouchstoneError(
-                            ln_no, f"bad reference impedance {toks[i + 1]!r}")
+                            ln_no, f"reference impedance must be a finite "
+                            f"number > 0, got {toks[i + 1]!r}")
                     i += 1
                 elif t in ("S", "Y", "Z", "G", "H"):
                     param = t
@@ -126,40 +140,66 @@ def parse_touchstone(text: str) -> TouchstoneData:
                 raise TouchstoneError(
                     ln_no, f"expected S-parameters, file declares {param!r}")
             continue
-        for tok in line.split():
-            tokens.append((tok, ln_no))
+        rows.append(line.split())
+        row_lines.append(ln_no)
 
     if not saw_option:
         where = next((no for no, raw in enumerate(lines, start=1)
                       if _strip_comment(raw).strip()), 1)
         raise TouchstoneError(where, "missing option line ('# ...')")
-    if not tokens:
+    if not rows:
         raise TouchstoneError(len(lines) or 1, "no data records")
+    tokens = [tok for row in rows for tok in row]
     if len(tokens) % 9 != 0:
-        tok, ln_no = tokens[-1]
         raise TouchstoneError(
-            ln_no, f"two-port records need 9 columns per frequency; "
+            row_lines[-1], f"two-port records need 9 columns per frequency; "
             f"got {len(tokens)} values total")
 
-    values = []
-    for tok, ln_no in tokens:
-        try:
-            values.append(float(tok))
-        except ValueError:
-            raise TouchstoneError(ln_no, f"not a number: {tok!r}")
+    def line_of(index: int) -> int:
+        """Line of tokens[index]; looked up only to report an error."""
+        for ln_no, row in zip(row_lines, rows):
+            index -= len(row)
+            if index < 0:
+                return ln_no
 
-    n = len(values) // 9
-    rec = np.asarray(values, dtype=float).reshape(n, 9)
+    try:
+        values = list(map(float, tokens))
+    except ValueError:
+        for k, tok in enumerate(tokens):
+            try:
+                float(tok)
+            except ValueError:
+                raise TouchstoneError(line_of(k), f"not a number: {tok!r}")
+        raise
+    rec = np.array(values).reshape(-1, 9)
+    n = rec.shape[0]
+    bad = ~np.isfinite(rec)
+    bad[:, 0] |= rec[:, 0] <= 0
+    if bad.any():
+        k = int(np.argmax(bad))
+        what = "a frequency must be finite and > 0" if k % 9 == 0 \
+            else "a value must be finite"
+        raise TouchstoneError(line_of(k), f"{what}, got {tokens[k]!r}")
+
+    # Shift each frequency (a finite decimal literal by now) into Hz by
+    # rewriting its exponent, so float() rounds its exact value in Hz once.
+    # The exponent goes through float(): int() refuses over 4300 digits,
+    # which zero padding can reach in a finite literal.
     exp = FREQUENCY_UNITS[unit]
-    freqs = np.array(
-        [float(_shift_point(_as_decimal(tokens[9 * k][0]), exp))
-         for k in range(n)], dtype=float)
-    for k in range(1, n):
-        if not freqs[k] > freqs[k - 1]:
-            ln_no = tokens[9 * k][1]
-            raise TouchstoneError(
-                ln_no, f"frequencies must be strictly increasing "
-                f"({rec[k, 0]:g} after {rec[k - 1, 0]:g})")
+    split = (tok.lower().partition("e") for tok in tokens[::9])
+    freqs = np.array([float(f"{m}e{int(float(p or 0)) + exp}")
+                      for m, _, p in split])
+    if not np.isfinite(freqs).all():
+        k = int(np.argmin(np.isfinite(freqs)))
+        raise TouchstoneError(
+            line_of(9 * k), f"frequency {tokens[9 * k]} {unit} is not "
+            f"finite in Hz")
+    rising = np.diff(freqs) > 0
+    if not rising.all():
+        k = int(np.argmin(rising)) + 1
+        raise TouchstoneError(
+            line_of(9 * k), f"frequencies must be strictly increasing "
+            f"({rec[k, 0]:g} after {rec[k - 1, 0]:g})")
 
     a = rec[:, 1::2]
     b = rec[:, 2::2]
@@ -170,30 +210,18 @@ def parse_touchstone(text: str) -> TouchstoneData:
     else:   # DB
         s_flat = 10.0 ** (a / 20.0) * np.exp(1j * np.deg2rad(b))
     # v1 two-port column order: S11, S21, S12, S22
-    s = np.empty((n, 2, 2), dtype=complex)
-    s[:, 0, 0] = s_flat[:, 0]
-    s[:, 1, 0] = s_flat[:, 1]
-    s[:, 0, 1] = s_flat[:, 2]
-    s[:, 1, 1] = s_flat[:, 3]
+    s = s_flat[:, [0, 2, 1, 3]].reshape(n, 2, 2)
     return TouchstoneData(frequencies=freqs, s=s, z0=z0, unit=unit,
                           data_format=fmt)
-
-
-def _as_decimal(token: str) -> Decimal:
-    """Decimal value of a numeric token; falls back through float for the
-    few spellings float() takes but Decimal() does not (e.g. '13_0')."""
-    try:
-        return Decimal(token)
-    except ArithmeticError:
-        return Decimal(float(token))
 
 
 def _shift_point(d: Decimal, exp: int) -> Decimal:
     """Exact d * 10**exp by moving the decimal point, no rounding ever.
 
     Unit rescaling through binary floats loses the last bit for most
-    frequencies, so both parse and emit shift in decimal space; a double
-    is always a finite decimal, making the round trip the identity.
+    frequencies, so emit shifts in decimal space, as parse does on the
+    token's exponent; a double is always a finite decimal, making the
+    round trip the identity.
     """
     if not d.is_finite():
         return d
@@ -373,9 +401,11 @@ def fit_mbvd(curve: AdmittanceCurve,
              band: tuple[float, float] | None = None) -> FitReport:
     """Fit the six mBVD values to an admittance curve.
 
-    Minimizes sum |Y_model - Y_data|^2 / |Y_data|^2 with scipy's
-    Levenberg-Marquardt least_squares over log-parameters, started from
-    closed-form seeds.  Non-convergence is reported through the flag,
+    Minimizes sum |Y_model - Y_data|^2 / |Y_data|^2 over log-parameters
+    with MINPACK's Levenberg-Marquardt `lmder` (scipy's `leastsq`, exact
+    Jacobian, ftol = xtol = gtol = 1e-14, at most 20000 evaluations),
+    started from closed-form seeds.  n_iterations is MINPACK's count of
+    residual evaluations.  Non-convergence is reported through the flag,
     never raised.  Requires >= 50 points in the band and an interior
     conductance peak.
     """
@@ -405,16 +435,25 @@ def fit_mbvd(curve: AdmittanceCurve,
         # clamp keeps exp() finite if the optimizer wanders
         return np.exp(np.clip(x, -115.0, 115.0))
 
+    last: list = [None, None, None]     # x, values(x), _circuit at x
+
+    def circuit(x: np.ndarray):
+        # the residual and the Jacobian at one x share a circuit; x is
+        # compared by value because MINPACK may reuse its buffer
+        if not np.array_equal(x, last[0]):
+            p = values(x)
+            last[:] = x.copy(), p, _circuit(omega, *p)
+        return last[1], last[2]
+
     def residuals(x: np.ndarray) -> np.ndarray:
-        diff = (_circuit(omega, *values(x))[3] - y) * weight
+        diff = (circuit(x)[1][3] - y) * weight
         return np.concatenate([diff.real, diff.imag])
 
     def jacobian(x: np.ndarray) -> np.ndarray:
         # dY/d(ln p): chain through rs and the parallel pair.  High-Q
         # lines make finite differences too noisy for LM to converge, so
         # the Jacobian is exact.
-        rm, lm, cm, c0, r0, rs = values(x)
-        zm, zs, y_par, y_model = _circuit(omega, rm, lm, cm, c0, r0, rs)
+        (rm, lm, cm, c0, r0, rs), (zm, zs, y_par, y_model) = circuit(x)
         outer = -y_model ** 2
         inner = outer * (-1.0 / y_par ** 2)
         grad = np.empty((6, freqs.size), dtype=complex)
@@ -429,20 +468,21 @@ def fit_mbvd(curve: AdmittanceCurve,
 
     # imported here so that only a fit pays for loading scipy.optimize,
     # which would otherwise be most of the time of `import bawkit`
-    from scipy.optimize import least_squares
+    from scipy.optimize import leastsq
 
-    sol = least_squares(residuals, x0, jac=jacobian, method="lm",
-                        xtol=1e-14, ftol=1e-14, gtol=1e-14,
-                        max_nfev=20000)
-    rm, lm, cm, c0, r0, rs = values(sol.x)
+    # full_output: without it leastsq warns instead of returning ier
+    x, _, info, _, ier = leastsq(residuals, x0, Dfun=jacobian,
+                                 full_output=True, ftol=1e-14, xtol=1e-14,
+                                 gtol=1e-14, maxfev=20000)
+    rm, lm, cm, c0, r0, rs = values(x)
     p_fit = MbvdParams(rm=float(rm), lm=float(lm), cm=float(cm),
                        c0=float(c0), r0=float(r0), rs=float(rs))
-    # sol.fun is the residual vector at sol.x
-    res = sol.fun
+    # MINPACK keeps fvec the residual vector at x
+    res = info["fvec"]
     rel_rms = float(np.sqrt(np.mean(
         res[:freqs.size] ** 2 + res[freqs.size:] ** 2)))
-    return report(p_fit, residual=rel_rms, n_iterations=int(sol.nfev),
-                  converged=bool(sol.status > 0))
+    return report(p_fit, residual=rel_rms, n_iterations=int(info["nfev"]),
+                  converged=ier in (1, 2, 3, 4))
 
 
 _REPORT_KEYS = ("rm_ohm", "lm_h", "cm_f", "c0_f", "r0_ohm", "rs_ohm",
@@ -480,14 +520,11 @@ def parse_fit_report(text: str) -> dict:
 
 def export_fit_curve_csv(curve: AdmittanceCurve, rep: FitReport,
                          path) -> None:
-    """Model-vs-data admittance table for plotting."""
-    g = "{:.17g}".format
+    """Model-vs-data admittance table for plotting, 17 significant digits."""
     y_model = mbvd_admittance(rep.params, curve.frequencies)
-    lines = ["freq_hz,re_y_data,im_y_data,re_y_model,im_y_model"]
-    for k in range(curve.frequencies.size):
-        lines.append(",".join((
-            g(curve.frequencies[k]),
-            g(curve.y[k].real), g(curve.y[k].imag),
-            g(y_model[k].real), g(y_model[k].imag))))
+    cols = np.column_stack((curve.frequencies, curve.y.real, curve.y.imag,
+                            y_model.real, y_model.imag))
+    row = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
+    body = (row * cols.shape[0]) % tuple(cols.ravel().tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("freq_hz,re_y_data,im_y_data,re_y_model,im_y_model\n" + body)

@@ -511,3 +511,17 @@ def test_no_excitation_error():
     stack = plate(pz, 250e-9)
     with pytest.raises(PhysicsError, match="no acoustic excitation"):
         strain_energy(stack, 10e9)
+
+
+@pytest.mark.parametrize("kernel", [admittance_bvp, admittance_mason])
+def test_layer_too_thick_for_doubles_is_a_config_error(nominal, kernel):
+    """A layer whose attenuation leaves the double range is named in a
+    ConfigError, with no numpy warning (the suite makes those errors)."""
+    ip = nominal.piezo_index
+    thick = (nominal.with_layer_thickness(ip - 1, 0.25)
+             .with_layer_thickness(ip + 1, 0.25))
+    with pytest.raises(ConfigError,
+                       match=r"layer 0 \(pt, 0\.25 m\).*too thick"):
+        kernel(thick, np.array([13e9, 1.5e9]))
+    with pytest.raises(ConfigError, match="too thick"):
+        kernel(thick, 1.5e9 + 1e3j)

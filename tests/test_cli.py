@@ -302,6 +302,21 @@ def test_sweep_range_too_thick_to_count(stack_file, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sweep_layers_too_thick_for_doubles(stack_file, tmp_path, capsys):
+    """Electrodes whose mode count is finite but whose attenuation leaves
+    the double range are a configuration error naming the layer, not a
+    masked map blamed on band coverage, and raise no numpy warning."""
+    out = tmp_path / "x"
+    code = cli.main(["sweep", "--stack", str(stack_file), "--range",
+                     "0.2:1e6", "--grid", "3", "--band", "1.5:34",
+                     "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "layer" in err and "too thick" in err
+    assert not out.exists()
+
+
 def test_sweep_uncovered_band_exits_4(stack_file, tmp_path, capsys):
     code = cli.main(["sweep", "--stack", str(stack_file), "--grid", "2",
                      "--modes", "3", "--band", "40:45",
@@ -335,6 +350,26 @@ def test_fit_truncated_file_reports_line(tmp_path, capsys):
                      "--out", str(tmp_path / "x")])
     assert code == 2
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("text, line", [
+    ("# GHZ S RI R inf\n13.0 0.1 0 0.9 0 0.9 0 0.1 0\n", 1),
+    ("# GHZ S RI R 50\n13.0 0.1 0 0.9 0 0.9 0 0.1 0\n"
+     "13.1 0.1 0 0.9 0\n0.9 nan 0.1 0\n", 4),
+    ("! made by hand\n# GHZ S RI R 50\n13.0 0.1 0 0.9 0 0.9 0 0.1 0\n"
+     "inf 0.1 0 0.9 0 0.9 0 0.1 0\n", 4),
+    ("# GHZ S RI R 50\n0 0.1 0 0.9 0 0.9 0 0.1 0\n", 2),
+    ("# GHZ S RI R -50\n13.0 0.1 0 0.9 0 0.9 0 0.1 0\n", 1)],
+    ids=["r-inf", "nan-value", "inf-frequency", "zero-frequency", "r-neg"])
+def test_fit_malformed_number_reports_line(tmp_path, capsys, text, line):
+    bad = tmp_path / "bad.s2p"
+    bad.write_text(text, encoding="utf-8")
+    code = cli.main(["fit", "--s2p", str(bad), "--band", "12.5:14",
+                     "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert f"line {line}:" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_fit_nonconvergence_exits_5(tmp_path, monkeypatch, capsys):

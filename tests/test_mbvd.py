@@ -2,17 +2,22 @@
 
 import importlib.resources
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from bawkit import mbvd
 from bawkit.acoustic1d import AdmittanceCurve
 from bawkit.materials import ConfigError
-from bawkit.mbvd import (ConversionError, MbvdParams, TouchstoneData,
-                         TouchstoneError, emit_touchstone,
-                         export_fit_curve_csv, fit_mbvd, format_fit_report,
-                         mbvd_admittance, parse_fit_report, parse_touchstone,
-                         report, s_to_y, transmission_admittance)
+from bawkit.mbvd import (FREQUENCY_UNITS, ConversionError, MbvdParams,
+                         TouchstoneData, TouchstoneError, _shift_point,
+                         emit_touchstone, export_fit_curve_csv, fit_mbvd,
+                         format_fit_report, mbvd_admittance,
+                         parse_fit_report, parse_touchstone, report, s_to_y,
+                         transmission_admittance)
 
 ONE_POINT = ("# GHZ S RI R 50\n"
              "13.0 0.1 0.0 0.9 0.0 0.9 0.0 0.1 0.0\n")
@@ -118,6 +123,82 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(TouchstoneError) as err:
         parse_touchstone("# GHZ S RI R 50\n13.0 a b c d e f g h\n")
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("z0", ["inf", "nan", "0", "-50", "-inf", "fifty"])
+def test_bad_reference_impedance_names_the_option_line(z0):
+    text = f"! header\n# GHZ S RI R {z0}\n" + ONE_POINT.splitlines()[1]
+    with pytest.raises(TouchstoneError, match="reference impedance") as err:
+        parse_touchstone(text)
+    assert err.value.line == 2
+
+
+# three records, the first wrapped over lines 2 and 3
+RECORDS = [["13.0", "0.1", "0", "0.9", "0"], ["0.9", "0", "0.1", "0"],
+           ["13.1", "0.1", "0", "0.9", "0", "0.9", "0", "0.1", "0"],
+           ["13.2", "0.1", "0", "0.9", "0", "0.9", "0", "0.1", "0"]]
+
+
+@pytest.mark.parametrize("row, col, token", [
+    (2, 0, "inf"), (2, 0, "nan"), (2, 0, "0"), (2, 0, "-13.1"),
+    (0, 0, "-inf"), (3, 0, "1e300"),          # 1e309 Hz is not finite
+    (1, 2, "nan"), (2, 5, "inf"), (0, 1, "-inf"), (3, 8, "NaN")])
+def test_non_finite_values_name_their_line(row, col, token):
+    rows = [list(r) for r in RECORDS]
+    rows[row][col] = token
+    text = "# GHZ S RI R 50\n" + "".join(" ".join(r) + "\n" for r in rows)
+    with pytest.raises(TouchstoneError) as err:
+        parse_touchstone(text)
+    assert err.value.line == row + 2
+    assert token in str(err.value)
+
+
+def test_touchstone_data_rejects_infinite_impedance():
+    with pytest.raises(ConfigError, match="reference impedance"):
+        TouchstoneData(frequencies=np.array([1e9]),
+                       s=np.zeros((1, 2, 2), dtype=complex), z0=math.inf)
+
+
+@st.composite
+def float_literals(draw):
+    """Decimal literals of Python's float() grammar: sign, 1-40 digits
+    with underscores, leading or trailing dot, signed exponent."""
+    def digitpart(n_min, n_max):
+        digits = draw(st.text("0123456789", min_size=n_min, max_size=n_max))
+        cuts = draw(st.lists(st.booleans(), min_size=len(digits),
+                             max_size=len(digits)))
+        return "".join(d + ("_" if cut and k + 1 < len(digits) else "")
+                       for k, (d, cut) in enumerate(zip(digits, cuts)))
+
+    n = draw(st.integers(1, 40))
+    split = draw(st.integers(0, n))
+    head, tail = digitpart(split, split), digitpart(n - split, n - split)
+    if not tail:
+        mantissa = head + draw(st.sampled_from(["", "."]))
+    else:
+        mantissa = f"{head}.{tail}"
+    token = draw(st.sampled_from(["", "+", "-"])) + mantissa
+    if draw(st.booleans()):
+        token += (draw(st.sampled_from("eE"))
+                  + draw(st.sampled_from(["", "+", "-"])) + digitpart(1, 3))
+    return token
+
+
+@given(token=float_literals(), unit=st.sampled_from(sorted(FREQUENCY_UNITS)))
+@example(token="1e-" + "0" * 5000 + "1", unit="GHZ")
+@example(token="0.1_5e+0_3", unit="KHZ")
+@example(token="9.99e299", unit="GHZ")
+def test_frequency_shift_is_the_exact_decimal_shift(token, unit):
+    """A frequency rounds once from its exact value in Hz, as through
+    Decimal; one that is not finite and > 0 in Hz is refused."""
+    exact = float(_shift_point(Decimal(token), FREQUENCY_UNITS[unit]))
+    text = f"# {unit} S RI R 50\n{token} 0 0 0 0 0 0 0 0\n"
+    if float(token) > 0 and exact < math.inf:
+        assert parse_touchstone(text).frequencies[0] == exact
+    else:
+        with pytest.raises(TouchstoneError) as err:
+            parse_touchstone(text)
+        assert err.value.line == 2
 
 
 def test_parse_rejects_non_s_parameters():
@@ -406,9 +487,13 @@ def test_fit_curve_csv(tmp_path):
     rep = fit_mbvd(curve)
     path = tmp_path / "fit.csv"
     export_fit_curve_csv(curve, rep, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "freq_hz,re_y_data,im_y_data,re_y_model,im_y_model"
-    assert len(lines) == curve.frequencies.size + 1
+    g = "{:.17g}".format
+    y_model = mbvd_admittance(rep.params, curve.frequencies)
+    rows = [",".join(g(v) for v in (f, yd.real, yd.imag, ym.real, ym.imag))
+            for f, yd, ym in zip(curve.frequencies, curve.y, y_model)]
+    want = "freq_hz,re_y_data,im_y_data,re_y_model,im_y_model\n" \
+        + "".join(row + "\n" for row in rows)
+    assert path.read_bytes() == want.encode()
 
 
 # -- bundled fixture ---------------------------------------------------------
@@ -428,6 +513,23 @@ def test_bundled_fixture_reports_target_metrics():
     assert rep.fs == pytest.approx(13.3e9, rel=1e-3)
     assert abs(rep.fom - 10.9) < 0.3
     assert rep.residual < 1e-6
+
+
+def test_fit_evaluates_the_circuit_once_per_point(monkeypatch):
+    """The residual and the Jacobian at one point share one circuit
+    evaluation, so a fit runs _circuit once per residual evaluation."""
+    real = mbvd._circuit
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0].size)
+        return real(*args)
+
+    monkeypatch.setattr(mbvd, "_circuit", counting)
+    curve = transmission_admittance(parse_touchstone(fixture_text()))
+    rep = fit_mbvd(curve, band=(12.5e9, 14.0e9))
+    assert rep.converged and rep.n_iterations > 1
+    assert len(calls) == rep.n_iterations
 
 
 def relative_rms(rep, curve, band=None):
