@@ -42,27 +42,25 @@ class PhysicsError(RuntimeError):
 class SingularFrequencyError(PhysicsError):
     """The system is singular at a frequency (lossless resonance)."""
 
-    def __init__(self, frequency: float | complex,
-                 message: str | None = None):
+    def __init__(self, frequency: float | complex):
         self.frequency = frequency
-        if message is None:
-            message = (f"singular system at f = {frequency!r} Hz "
-                       f"(lossless resonance)")
-        super().__init__(message)
+        super().__init__(f"singular system at f = {frequency!r} Hz "
+                         f"(lossless resonance)")
 
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """A linear sweep axis: [f_min, f_max] with n_points."""
+    """A linear sweep axis: [f_min, f_max] with n_points, both finite."""
 
     f_min: float
     f_max: float
     n_points: int
 
     def __post_init__(self):
-        if not 0 < self.f_min < self.f_max:
+        if not 0 < self.f_min < self.f_max < math.inf:
             raise ConfigError(
-                f"need 0 < f_min < f_max, got ({self.f_min!r}, {self.f_max!r})")
+                f"need 0 < f_min < f_max < inf, got "
+                f"({self.f_min!r}, {self.f_max!r})")
         if self.n_points < 2:
             raise ConfigError(f"n_points must be >= 2, got {self.n_points}")
 
@@ -72,7 +70,10 @@ class FrequencyGrid:
 
 @dataclass(frozen=True)
 class AdmittanceCurve:
-    """Complex admittance samples on an increasing frequency axis."""
+    """Complex admittance samples on an increasing frequency axis.
+
+    The frequencies are real and pass _kernel_frequencies: finite and > 0.
+    """
 
     frequencies: np.ndarray
     y: np.ndarray
@@ -83,6 +84,7 @@ class AdmittanceCurve:
         y = np.asarray(self.y, dtype=complex)
         if f.ndim != 1 or y.shape != f.shape:
             raise ConfigError("frequencies and y must be 1-D and equal length")
+        _kernel_frequencies(f)
         if f.size >= 2 and not np.all(np.diff(f) > 0):
             raise ConfigError("frequencies must be strictly increasing")
         if self.provenance not in ("simulated-bvp", "simulated-mason", "measured"):
@@ -235,10 +237,12 @@ def _wave_amplitudes(pq, alpha: np.ndarray, delta: np.ndarray,
     return amps
 
 
-def _compose_rs(y_raw: np.ndarray, rs: float) -> np.ndarray:
-    if rs == 0.0:
-        return y_raw
-    return y_raw / (1.0 + rs * y_raw)
+def _admittance(stack: Stack, y_raw: np.ndarray, f) -> complex | np.ndarray:
+    """The kernels' common end: y_raw behind the stack's series resistance
+    rs, Y / (1 + rs Y), as a complex for scalar f, else as an array."""
+    rs = stack.rs_electrical
+    y = y_raw if rs == 0.0 else y_raw / (1.0 + rs * y_raw)
+    return complex(y[0]) if np.ndim(f) == 0 else y
 
 
 # Wave attenuation, in nepers summed over the layers, past which the BVP's
@@ -280,7 +284,9 @@ def _kernel_frequencies(f) -> np.ndarray:
 
     Raises ConfigError unless every frequency is finite with a real part
     > 0.  The checks run before any arithmetic, so a NaN or an infinity
-    never reaches the solve.
+    never reaches the solve.  This is the one frequency check: both
+    kernels, strain_energy, field_profile, AdmittanceCurve and
+    mbvd.mbvd_admittance go through it.
     """
     freqs = np.atleast_1d(np.asarray(f))
     freqs = freqs.astype(complex if np.iscomplexobj(freqs) else float,
@@ -310,10 +316,7 @@ def admittance_bvp(stack: Stack, f) -> complex | np.ndarray:
     t_p = stack.t_piezo
     d_field = delta * dc.eps_star / t_p
     y_raw = 1j * (2.0 * math.pi * freqs) * d_field * stack.area
-    y = _compose_rs(y_raw, stack.rs_electrical)
-    if np.isscalar(f) or np.asarray(f).ndim == 0:
-        return complex(y[0])
-    return y
+    return _admittance(stack, y_raw, f)
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +396,7 @@ def admittance_mason(stack: Stack, f) -> complex | np.ndarray:
     bad = ~np.isfinite(y_raw)
     if np.any(bad):
         raise _non_finite_error(stack, dc, freqs[np.argmax(bad)].item())
-    y = _compose_rs(y_raw, stack.rs_electrical)
-    if np.isscalar(f) or np.asarray(f).ndim == 0:
-        return complex(y[0])
-    return y
+    return _admittance(stack, y_raw, f)
 
 
 _BACKENDS = {"bvp": admittance_bvp, "mason": admittance_mason}
@@ -413,25 +413,34 @@ def spectrum(stack: Stack, grid: FrequencyGrid, backend: str = "bvp") -> Admitta
                            provenance=f"simulated-{backend}")
 
 
+def _wave_solution(stack: Stack, f):
+    """The BVP at real frequencies f, for strain_energy and field_profile.
+
+    f is a scalar or 1-D array in Hz, checked by _kernel_frequencies.
+    Returns (freqs, dc, delta, amplitudes): f as a 1-D array, the stack's
+    derived constants, the scaled electric displacement of _bvp_solve at
+    each frequency, and the (L, 2, n) wave pairs (a_i, b_i) of every layer
+    in metres per volt.
+    """
+    freqs = _kernel_frequencies(np.asarray(f, dtype=float))
+    dc = derive_constants(stack)
+    pq, alpha, delta, u_scale = _bvp_solve(stack, dc, freqs)
+    return (freqs, dc, delta,
+            u_scale * _wave_amplitudes(pq, alpha, delta, freqs))
+
+
 def field_profile(stack: Stack, f: float, points_per_layer: int = 64) -> FieldProfile:
     """Displacement and stress profile at one frequency (unit drive).
 
-    For plotting and inspection: strain_energy integrates the same wave
-    amplitudes in closed form and samples no profile.
-    points_per_layer is clamped to at least 64 samples per layer; both
-    layer endpoints are included.
+    f is in Hz, finite and > 0.  For plotting and inspection:
+    strain_energy integrates the same wave amplitudes (_wave_solution) in
+    closed form and samples no profile.  points_per_layer is clamped to
+    at least 64 samples per layer; both layer endpoints are included.
     """
     if points_per_layer < 64:
         points_per_layer = 64
     f = float(f)
-    if not math.isfinite(f):
-        raise ConfigError("frequency must be finite")
-    if f <= 0:
-        raise ConfigError("frequency must be > 0")
-    dc = derive_constants(stack)
-    freqs = np.array([f])
-    pq, alpha, delta, u_scale = _bvp_solve(stack, dc, freqs)
-    amplitudes = u_scale * _wave_amplitudes(pq, alpha, delta, freqs)[:, :, 0]
+    _, dc, delta, amplitudes = _wave_solution(stack, f)
     ip = dc.piezo_index
     piezo = stack.layers[ip]
     pm = piezo.material
@@ -446,7 +455,7 @@ def field_profile(stack: Stack, f: float, points_per_layer: int = 64) -> FieldPr
     t_layers = []
     z0 = 0.0
     for i, lay in enumerate(stack.layers):
-        a, b = amplitudes[i]
+        a, b = amplitudes[i, :, 0]
         amps.append((complex(a), complex(b)))
         k = omega / dc.v_star[i]
         z_loc = np.linspace(0.0, lay.thickness, points_per_layer)
@@ -493,18 +502,11 @@ def strain_energy(stack: Stack, f) -> list[EnergyPartition]:
 
     f is in Hz, a scalar or 1-D array, all finite and > 0; returns one
     EnergyPartition per frequency.  U_i = (A/4) * int Re(c_star_i)
-    |u'(z)|^2 dz, from the wave amplitudes of one batched BVP solve and
-    the analytic two-wave antiderivative (no profile, no quadrature).
-    eta is the piezo share of the total.
+    |u'(z)|^2 dz, from the wave amplitudes of one batched BVP solve
+    (_wave_solution) and the analytic two-wave antiderivative (no
+    profile, no quadrature).  eta is the piezo share of the total.
     """
-    freqs = np.atleast_1d(np.asarray(f, dtype=float))
-    if not np.isfinite(freqs).all():
-        raise ConfigError("frequencies must be finite")
-    if np.any(freqs <= 0):
-        raise ConfigError("frequencies must be > 0")
-    dc = derive_constants(stack)
-    pq, alpha, delta, u_scale = _bvp_solve(stack, dc, freqs)
-    amplitudes = u_scale * _wave_amplitudes(pq, alpha, delta, freqs)
+    freqs, dc, _, amplitudes = _wave_solution(stack, f)
     thickness = np.array([lay.thickness for lay in stack.layers])[:, None]
     k = 2.0 * math.pi * freqs / np.array(dc.v_star)[:, None]
     integral = _two_wave_integrals(amplitudes[:, 0], amplitudes[:, 1], k,

@@ -30,8 +30,8 @@ from .mbvd import (FREQUENCY_UNITS, ConversionError, TouchstoneError,
 from .modal import (ModeSearchError, calibrate_piezo_stiffness,
                     estimate_frequency, estimate_thickness, export_modes_csv,
                     find_modes, mode_count)
-from .sweep import (BandCoverageError, SweepConfig, export_sweep_csv,
-                    render_heatmap, run_sweep)
+from .sweep import (HEATMAP_METRICS, BandCoverageError, SweepConfig,
+                    export_sweep_csv, render_heatmap, run_sweep)
 
 
 def parse_frequency(text: str, default_factor: float = 1.0) -> float:
@@ -206,7 +206,7 @@ def cmd_sweep(args) -> int:
     outputs = ["sweep.csv"]
     export_sweep_csv(result, out / "sweep.csv")
     if args.heatmaps:
-        for metric in ("fs_norm", "keff2_norm", "fom_norm"):
+        for metric in HEATMAP_METRICS:
             for mode in range(cfg.n_modes):
                 name = f"heatmap_{metric}_mode{mode}.svg"
                 render_heatmap(result, metric, mode, out / name)
@@ -248,20 +248,12 @@ def cmd_fit(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    if args.mode_order < 1:
-        raise ConfigError(f"--mode-order must be >= 1, got {args.mode_order}")
-    if not args.velocity > 0:
-        raise ConfigError(f"--velocity must be > 0, got {args.velocity}")
     if args.thickness is not None:
-        t = float(args.thickness) * 1e-9
-        if not t > 0:
-            raise ConfigError("--thickness must be > 0")
-        f = estimate_frequency(args.mode_order, args.velocity, t)
+        f = estimate_frequency(args.mode_order, args.velocity,
+                               args.thickness * 1e-9)
         print(f"{f / 1e9:.10g} GHz")
     else:
         f = parse_frequency(args.frequency, default_factor=1e9)
-        if not f > 0:
-            raise ConfigError("--frequency must be > 0")
         t = estimate_thickness(args.mode_order, args.velocity, f)
         print(f"{t / 1e-9:.10g} nm")
     return 0

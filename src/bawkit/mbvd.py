@@ -28,7 +28,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from .acoustic1d import AdmittanceCurve
+from .acoustic1d import AdmittanceCurve, _kernel_frequencies
 from .materials import ConfigError
 
 # frequency unit -> its power of ten
@@ -333,12 +333,14 @@ def _circuit(omega, rm, lm, cm, c0, r0, rs):
 
 
 def mbvd_admittance(p: MbvdParams, f):
-    """Model admittance at frequency f (scalar or array), e^{+jwt} sign."""
-    f_arr = np.asarray(f, dtype=float)
-    if np.any(f_arr <= 0):
-        raise ConfigError("frequencies must be > 0")
-    y = _circuit(2.0 * math.pi * f_arr, *p.as_vector())[3]
-    return y if f_arr.ndim else complex(y)
+    """Model admittance at frequency f, e^{+jwt} sign.
+
+    f is in Hz, a scalar or 1-D array, finite with a real part > 0 (the
+    kernels' acoustic1d._kernel_frequencies check).  Returns a complex
+    for scalar f, else an array.
+    """
+    y = _circuit(2.0 * math.pi * _kernel_frequencies(f), *p.as_vector())[3]
+    return complex(y[0]) if np.ndim(f) == 0 else y
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,6 @@ from .acoustic1d import EnergyPartition, FrequencyGrid, \
     admittance_mason, strain_energy
 from .materials import ConfigError, Stack
 
-KEFF2_DEFINITIONS = ("separation", "ieee", "approx")
-
 # Y is sampled on a circle of _CIRCLE_POINTS points, radius
 # _CIRCLE_RADIUS * f, around each estimate f.  The circle must stay well
 # inside the Taylor disc, whose radius is about f / (2 Qm)
@@ -84,25 +82,13 @@ class ModeSummary:
     coupling_null: bool
 
 
-def keff2(fs: float, fp: float, definition: str = "ieee") -> float:
-    """Effective coupling from the fs/fp pair.
-
-    definitions:
-        separation: (fp^2 - fs^2) / fp^2
-        ieee:       (pi/2) (fs/fp) tan((pi/2) (fp - fs)/fp)
-        approx:     (pi^2/8) (fp^2 - fs^2) / fp^2
-    """
+def keff2(fs: float, fp: float) -> float:
+    """Effective coupling from the fs/fp pair, in the IEEE form
+    (pi/2) (fs/fp) tan((pi/2) (fp - fs)/fp)."""
     if not 0 < fs <= fp:
         raise ConfigError(f"need 0 < fs <= fp, got ({fs!r}, {fp!r})")
-    if definition == "separation":
-        return (fp * fp - fs * fs) / (fp * fp)
-    if definition == "ieee":
-        return (math.pi / 2.0) * (fs / fp) * math.tan(
-            (math.pi / 2.0) * (fp - fs) / fp)
-    if definition == "approx":
-        return (math.pi ** 2 / 8.0) * (fp * fp - fs * fs) / (fp * fp)
-    raise ConfigError(
-        f"keff2 definition must be one of {KEFF2_DEFINITIONS}, got {definition!r}")
+    return (math.pi / 2.0) * (fs / fp) * math.tan(
+        (math.pi / 2.0) * (fp - fs) / fp)
 
 
 def qm_from_partition(partition: EnergyPartition, stack: Stack) -> float:
@@ -126,22 +112,32 @@ def qm_from_partition(partition: EnergyPartition, stack: Stack) -> float:
     return 1.0 / acc
 
 
-def estimate_frequency(mode_order: int, velocity: float, thickness: float) -> float:
-    """Thickness-overtone estimator f_n = n v / (2 t)."""
+def _half_wave(mode_order: int, velocity: float, x: float,
+               name: str) -> float:
+    """n v / (2 x), with a ConfigError unless n >= 1 and v, x and the
+    result are all finite and > 0; name is what x is, for the message."""
     if mode_order < 1:
         raise ConfigError(f"mode_order must be >= 1, got {mode_order}")
-    if not velocity > 0 or not thickness > 0:
-        raise ConfigError("velocity and thickness must be > 0")
-    return mode_order * velocity / (2.0 * thickness)
+    for what, value in (("velocity", velocity), (name, x)):
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{what} must be finite and > 0, got {value!r}")
+    out = mode_order * velocity / (2.0 * x)
+    if not 0 < out < math.inf:
+        raise ConfigError(f"the estimate n v / (2 {name}) = {out!r} is not "
+                          f"finite and > 0")
+    return out
+
+
+def estimate_frequency(mode_order: int, velocity: float, thickness: float) -> float:
+    """Thickness-overtone estimator f_n = n v / (2 t).  Raises ConfigError
+    unless n >= 1 and v, t and f_n are all finite and > 0."""
+    return _half_wave(mode_order, velocity, thickness, "thickness")
 
 
 def estimate_thickness(mode_order: int, velocity: float, frequency: float) -> float:
-    """Inverse of estimate_frequency: t = n v / (2 f)."""
-    if mode_order < 1:
-        raise ConfigError(f"mode_order must be >= 1, got {mode_order}")
-    if not velocity > 0 or not frequency > 0:
-        raise ConfigError("velocity and frequency must be > 0")
-    return mode_order * velocity / (2.0 * frequency)
+    """Inverse of estimate_frequency: t = n v / (2 f), under the same
+    checks."""
+    return _half_wave(mode_order, velocity, frequency, "frequency")
 
 
 def mode_count(stack: Stack, f: float) -> int:

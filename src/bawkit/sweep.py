@@ -24,7 +24,7 @@ from .acoustic1d import FrequencyGrid, PhysicsError
 from .materials import ConfigError, Stack, derive_constants
 from .modal import ModeSearchError, find_modes
 
-HEATMAP_METRICS = ("fs_norm", "keff2_norm", "fom_norm", "eta")
+HEATMAP_METRICS = ("fs_norm", "keff2_norm", "fom_norm")
 
 # the eight metric grids of a SweepResult, in sweep CSV column order
 _GRIDS = ("fs", "fs_norm", "keff2", "keff2_norm", "eta", "qm", "fom",

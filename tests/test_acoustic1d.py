@@ -16,6 +16,7 @@ from bawkit import (ConfigError, FrequencyGrid, PhysicsError,
                     strain_energy)
 from bawkit.acoustic1d import AdmittanceCurve, _bvp_solve, _wave_amplitudes
 from bawkit.materials import Layer, Stack, derive_constants
+from bawkit.mbvd import MbvdParams, mbvd_admittance
 
 from conftest import (AREA_30UM, make_metal, make_piezo, plate,
                       quadrature_energies, random_stack)
@@ -34,6 +35,8 @@ def test_frequency_grid_validation():
         FrequencyGrid(2e9, 1e9, 10)
     with pytest.raises(ConfigError):
         FrequencyGrid(1e9, 2e9, 1)
+    with pytest.raises(ConfigError):
+        FrequencyGrid(1e9, math.inf, 5)
 
 
 def test_frequency_grid_axes():
@@ -60,20 +63,25 @@ def test_invalid_frequency_rejected(nominal):
 
 REAL_NON_FINITE = (math.nan, math.inf, -math.inf, [5e9, math.nan])
 COMPLEX_NON_FINITE = (complex(math.nan, 0.0), complex(5e9, math.inf))
+# an mBVD circuit resonating near 13 GHz
+MBVD_13GHZ = MbvdParams(rm=1.0, lm=1e-8, cm=1.5e-14, c0=1e-12, r0=0.1,
+                        rs=0.5)
 
 
 @pytest.mark.parametrize("func, f", [
     (func, f) for func in (admittance_bvp, admittance_mason, strain_energy)
     for f in REAL_NON_FINITE] + [
+    (mbvd_admittance, f) for f in REAL_NON_FINITE] + [
     (kernel, f) for kernel in (admittance_bvp, admittance_mason)
     for f in COMPLEX_NON_FINITE] + [
     (field_profile, f) for f in REAL_NON_FINITE[:3]])
 def test_non_finite_frequency_rejected(nominal, func, f):
     """A NaN or an infinity is a usage error, raised before numpy warns."""
+    first = MBVD_13GHZ if func is mbvd_admittance else nominal
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConfigError, match="must be finite"):
-            func(nominal, f)
+            func(first, f)
 
 
 @pytest.mark.parametrize("kernel", [admittance_bvp, admittance_mason])
@@ -363,6 +371,10 @@ def test_admittance_curve_validation():
     with pytest.raises(ConfigError):
         AdmittanceCurve(frequencies=np.array([1e9, 2e9]),
                         y=np.array([1j, 2j]), provenance="guessed")
+    for bad in (math.nan, 0.0, -1e9):
+        with pytest.raises(ConfigError):
+            AdmittanceCurve(frequencies=np.array([bad, 2e9]),
+                            y=np.array([1j, 2j]), provenance="measured")
 
 
 def test_spectrum_csv_round_trip(nominal, tmp_path):
@@ -390,8 +402,9 @@ def _csv_by_rows(curve):
 def _special_curve():
     specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, -1e-300,
                 1e300, -1e300, 5e-324, 1.0 / 3.0, -2.5e9]
-    freqs = np.array([-math.inf, -1e300, -1e-300, -0.0, 5e-324, 1e-300,
-                      1.0 / 3.0, 13e9, 1e300, math.inf])
+    # frequencies are finite and > 0; the admittance takes the rest
+    freqs = np.array([5e-324, 1e-310, 1e-300, 1.0 / 3.0, 1.0, 2.5e9, 13e9,
+                      1e100, 1e300, np.finfo(float).max])
     re = np.array([specials[i % len(specials)] for i in range(freqs.size)])
     im = np.array([specials[(5 * i + 3) % len(specials)]
                    for i in range(freqs.size)])

@@ -103,6 +103,20 @@ def test_estimate_flag_validation(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--velocity", "inf", "--thickness", "250"],
+    ["--velocity", "8450", "--thickness", "inf"],
+    ["--velocity", "1e308", "--thickness", "1e-300"],
+    ["--velocity", "inf", "--frequency", "13"],
+])
+def test_estimate_non_finite_is_a_usage_error(argv, capsys):
+    """A non-finite input or estimate exits 2 and prints no number."""
+    assert cli.main(["estimate", "--mode-order", "1", *argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "finite" in out.err
+
+
 def test_estimate_writes_no_files(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["estimate", "--mode-order", "1", "--velocity", "10000",

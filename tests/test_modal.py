@@ -1,4 +1,4 @@
-"""Mode detection, coupling definitions, Qm mixing, design estimator."""
+"""Mode detection, keff2, Qm mixing, design estimator."""
 
 import csv
 import functools
@@ -22,34 +22,22 @@ from conftest import (AREA_30UM, CAL_BAND, make_metal, make_piezo, plate,
 
 # high-precision evaluation of the 12.8/13.2 GHz pair, frozen
 KEFF2_IEEE_PIN = 0.07255878919834874
-KEFF2_SEP_PIN = 0.05968778696051391
 
 
 # -- keff2 -------------------------------------------------------------------
 
-def test_keff2_separation_example():
-    val = keff2(12.8e9, 13.2e9, definition="separation")
-    assert val == pytest.approx(KEFF2_SEP_PIN, rel=1e-14)
-    assert val == pytest.approx(1 - (12.8 / 13.2) ** 2, rel=1e-12)
-
-
 def test_keff2_ieee_pin_and_bracket():
-    val = keff2(12.8e9, 13.2e9, definition="ieee")
+    fs, fp = 12.8e9, 13.2e9
+    val = keff2(fs, fp)
     assert val == pytest.approx(KEFF2_IEEE_PIN, rel=5e-15)
-    sep = keff2(12.8e9, 13.2e9, definition="separation")
+    # pi^2 / 8 times the separation (fp^2 - fs^2) / fp^2 bounds it above
+    sep = (fp * fp - fs * fs) / (fp * fp)
     assert val < sep * (math.pi ** 2 / 8.0)
 
 
-def test_keff2_approx_definition():
-    sep = keff2(12.8e9, 13.2e9, definition="separation")
-    assert keff2(12.8e9, 13.2e9, definition="approx") == pytest.approx(
-        (math.pi ** 2 / 8.0) * sep, rel=1e-14)
-
-
 def test_keff2_degenerate_limit():
-    for definition in ("separation", "ieee", "approx"):
-        assert keff2(13e9, 13e9, definition=definition) == 0.0
-        assert keff2(13e9, 13e9 * (1 + 1e-12), definition=definition) < 1e-11
+    assert keff2(13e9, 13e9) == 0.0
+    assert keff2(13e9, 13e9 * (1 + 1e-12)) < 1e-11
 
 
 def test_keff2_rejects_bad_pairs():
@@ -57,8 +45,6 @@ def test_keff2_rejects_bad_pairs():
         keff2(13.2e9, 12.8e9)
     with pytest.raises(ConfigError):
         keff2(0.0, 13.2e9)
-    with pytest.raises(ConfigError):
-        keff2(12.8e9, 13.2e9, definition="mystery")
 
 
 @given(r1=st.floats(min_value=1.001, max_value=1.8),
@@ -68,9 +54,7 @@ def test_keff2_increases_with_fp(r1, r2):
     lo, hi = sorted((r1, r2))
     if fs * lo == fs * hi:
         return  # distinct ratios can round to the same fp
-    for definition in ("separation", "ieee", "approx"):
-        assert (keff2(fs, fs * lo, definition=definition)
-                < keff2(fs, fs * hi, definition=definition))
+    assert keff2(fs, fs * lo) < keff2(fs, fs * hi)
 
 
 # -- qm_from_partition -------------------------------------------------------

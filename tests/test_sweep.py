@@ -1,6 +1,7 @@
 """Thickness-sweep grids, CSV export, and SVG heatmap rendering."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -277,8 +278,10 @@ def test_heatmap_extremes_and_mask(tmp_path):
 
 def test_heatmap_constant_plane_is_all_top_color(tmp_path):
     result = synthetic_result()
+    # eta is 0.5 in every solved cell
+    flat = replace(result, fom_norm=result.eta)
     path = tmp_path / "flat.svg"
-    render_heatmap(result, "eta", 0, path)
+    render_heatmap(flat, "fom_norm", 0, path)
     fills = [f for f in cell_fills(path.read_text()) if f != "url(#hatch)"]
     assert fills == [TOP_COLOR] * 3
 
@@ -301,6 +304,7 @@ def test_heatmap_deterministic_bytes(grid4, tmp_path):
 
 
 def test_heatmap_rejects_unknown_metric(grid4, tmp_path):
-    with pytest.raises(ConfigError):
-        render_heatmap(grid4, "qm", 0, tmp_path / "x.svg")
-    assert HEATMAP_METRICS == ("fs_norm", "keff2_norm", "fom_norm", "eta")
+    for metric in ("qm", "eta"):
+        with pytest.raises(ConfigError):
+            render_heatmap(grid4, metric, 0, tmp_path / "x.svg")
+    assert HEATMAP_METRICS == ("fs_norm", "keff2_norm", "fom_norm")
