@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvfloat import format_rows
 from .materials import ConfigError, DerivedConstants, Stack, derive_constants
 
 
@@ -72,7 +73,8 @@ class FrequencyGrid:
 class AdmittanceCurve:
     """Complex admittance samples on an increasing frequency axis.
 
-    The frequencies are real and pass _kernel_frequencies: finite and > 0.
+    The frequencies are real (_real_frequencies) and pass
+    _kernel_frequencies: finite and > 0.
     """
 
     frequencies: np.ndarray
@@ -80,7 +82,7 @@ class AdmittanceCurve:
     provenance: str
 
     def __post_init__(self):
-        f = np.asarray(self.frequencies, dtype=float)
+        f = _real_frequencies(self.frequencies)
         y = np.asarray(self.y, dtype=complex)
         if f.ndim != 1 or y.shape != f.shape:
             raise ConfigError("frequencies and y must be 1-D and equal length")
@@ -298,6 +300,19 @@ def _kernel_frequencies(f) -> np.ndarray:
     return freqs
 
 
+def _real_frequencies(f) -> np.ndarray:
+    """f as a float array of its own shape, for the evaluators that take
+    real frequencies only.
+
+    Raises ConfigError for complex input, whose imaginary part a cast to
+    float would drop with only a ComplexWarning.
+    """
+    f = np.asarray(f)
+    if np.iscomplexobj(f):
+        raise ConfigError("frequencies must be real")
+    return f.astype(float, copy=False)
+
+
 def admittance_bvp(stack: Stack, f) -> complex | np.ndarray:
     """Electrical admittance from the layered boundary-value problem.
 
@@ -416,13 +431,14 @@ def spectrum(stack: Stack, grid: FrequencyGrid, backend: str = "bvp") -> Admitta
 def _wave_solution(stack: Stack, f):
     """The BVP at real frequencies f, for strain_energy and field_profile.
 
-    f is a scalar or 1-D array in Hz, checked by _kernel_frequencies.
+    f is a real scalar or 1-D array in Hz, checked by _real_frequencies
+    and _kernel_frequencies.
     Returns (freqs, dc, delta, amplitudes): f as a 1-D array, the stack's
     derived constants, the scaled electric displacement of _bvp_solve at
     each frequency, and the (L, 2, n) wave pairs (a_i, b_i) of every layer
     in metres per volt.
     """
-    freqs = _kernel_frequencies(np.asarray(f, dtype=float))
+    freqs = _kernel_frequencies(_real_frequencies(f))
     dc = derive_constants(stack)
     pq, alpha, delta, u_scale = _bvp_solve(stack, dc, freqs)
     return (freqs, dc, delta,
@@ -432,15 +448,15 @@ def _wave_solution(stack: Stack, f):
 def field_profile(stack: Stack, f: float, points_per_layer: int = 64) -> FieldProfile:
     """Displacement and stress profile at one frequency (unit drive).
 
-    f is in Hz, finite and > 0.  For plotting and inspection:
+    f is in Hz, real, finite and > 0.  For plotting and inspection:
     strain_energy integrates the same wave amplitudes (_wave_solution) in
     closed form and samples no profile.  points_per_layer is clamped to
     at least 64 samples per layer; both layer endpoints are included.
     """
     if points_per_layer < 64:
         points_per_layer = 64
-    f = float(f)
     _, dc, delta, amplitudes = _wave_solution(stack, f)
+    f = float(f)
     ip = dc.piezo_index
     piezo = stack.layers[ip]
     pm = piezo.material
@@ -500,7 +516,7 @@ def _two_wave_integrals(a: np.ndarray, b: np.ndarray, k: np.ndarray,
 def strain_energy(stack: Stack, f) -> list[EnergyPartition]:
     """Per-layer time-averaged elastic strain energy U_i and eta at each f.
 
-    f is in Hz, a scalar or 1-D array, all finite and > 0; returns one
+    f is in Hz, a real scalar or 1-D array, all finite and > 0; returns one
     EnergyPartition per frequency.  U_i = (A/4) * int Re(c_star_i)
     |u'(z)|^2 dz, from the wave amplitudes of one batched BVP solve
     (_wave_solution) and the analytic two-wave antiderivative (no
@@ -674,9 +690,12 @@ def _open_circuit_modes(stack: Stack, f_min: float, f_max: float):
 
 
 def export_spectrum_csv(curve: AdmittanceCurve, path) -> None:
-    """Write freq_hz,re_y_s,im_y_s rows with 17 significant digits."""
+    """Write freq_hz,re_y_s,im_y_s rows.
+
+    Every number is exactly Python's format(value, ".17g"), so float()
+    of each field gives back the stored double.
+    """
     cols = np.column_stack((curve.frequencies, curve.y.real, curve.y.imag))
-    row = "%.17g,%.17g,%.17g\n"
-    body = (row * cols.shape[0]) % tuple(cols.ravel().tolist())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("freq_hz,re_y_s,im_y_s\n" + body)
+    with open(path, "wb") as fh:
+        fh.write(b"freq_hz,re_y_s,im_y_s\n")
+        fh.write(format_rows(cols))

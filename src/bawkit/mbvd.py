@@ -28,6 +28,7 @@ from decimal import Decimal
 
 import numpy as np
 
+from ._csvfloat import format_rows
 from .acoustic1d import AdmittanceCurve, _kernel_frequencies
 from .materials import ConfigError
 
@@ -522,11 +523,14 @@ def parse_fit_report(text: str) -> dict:
 
 def export_fit_curve_csv(curve: AdmittanceCurve, rep: FitReport,
                          path) -> None:
-    """Model-vs-data admittance table for plotting, 17 significant digits."""
+    """Model-vs-data admittance table for plotting.
+
+    Every number is exactly Python's format(value, ".17g"), so float()
+    of each field gives back the stored double.
+    """
     y_model = mbvd_admittance(rep.params, curve.frequencies)
     cols = np.column_stack((curve.frequencies, curve.y.real, curve.y.imag,
                             y_model.real, y_model.imag))
-    row = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
-    body = (row * cols.shape[0]) % tuple(cols.ravel().tolist())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("freq_hz,re_y_data,im_y_data,re_y_model,im_y_model\n" + body)
+    with open(path, "wb") as fh:
+        fh.write(b"freq_hz,re_y_data,im_y_data,re_y_model,im_y_model\n")
+        fh.write(format_rows(cols))

@@ -16,7 +16,8 @@ from bawkit import (ConfigError, FrequencyGrid, PhysicsError,
                     strain_energy)
 from bawkit.acoustic1d import AdmittanceCurve, _bvp_solve, _wave_amplitudes
 from bawkit.materials import Layer, Stack, derive_constants
-from bawkit.mbvd import MbvdParams, mbvd_admittance
+from bawkit.mbvd import (MbvdParams, export_fit_curve_csv, mbvd_admittance,
+                         report)
 
 from conftest import (AREA_30UM, make_metal, make_piezo, plate,
                       quadrature_energies, random_stack)
@@ -391,11 +392,11 @@ def test_spectrum_csv_round_trip(nominal, tmp_path):
         assert float(row[2]) == y.imag
 
 
-def _csv_by_rows(curve):
-    """The one-f-string-per-row export that export_spectrum_csv replaced."""
-    lines = ["freq_hz,re_y_s,im_y_s"]
-    for f, y in zip(curve.frequencies, curve.y):
-        lines.append(f"{f:.17g},{y.real:.17g},{y.imag:.17g}")
+def _csv_by_rows(header, *columns):
+    """The one-f-string-per-row export that format_rows replaced."""
+    lines = [header]
+    for row in zip(*columns):
+        lines.append(",".join(f"{v:.17g}" for v in row))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -414,18 +415,47 @@ def _special_curve():
     return AdmittanceCurve(frequencies=freqs, y=y, provenance="measured")
 
 
-@pytest.mark.parametrize("which", ["special", "spectrum", "empty"])
+@pytest.mark.parametrize("which", ["special", "spectrum", "bench",
+                                   "fit_curve", "empty"])
 def test_spectrum_csv_matches_row_formatting(nominal, tmp_path, which):
     if which == "special":
         curve = _special_curve()
     elif which == "spectrum":
         curve = spectrum(nominal, FrequencyGrid(0.5e9, 40e9, 301))
+    elif which in ("bench", "fit_curve"):
+        # the largest spectrum the benchmark writes
+        curve = spectrum(nominal, FrequencyGrid(0.5e9, 40e9, 16001))
     else:
         curve = AdmittanceCurve(frequencies=np.array([]), y=np.array([]),
                                 provenance="measured")
     path = tmp_path / "spectrum.csv"
-    export_spectrum_csv(curve, path)
-    assert path.read_bytes() == _csv_by_rows(curve)
+    f, y = curve.frequencies, curve.y
+    if which == "fit_curve":
+        rep = report(MBVD_13GHZ)
+        export_fit_curve_csv(curve, rep, path)
+        ym = mbvd_admittance(rep.params, f)
+        want = _csv_by_rows(
+            "freq_hz,re_y_data,im_y_data,re_y_model,im_y_model",
+            f, y.real, y.imag, ym.real, ym.imag)
+    else:
+        export_spectrum_csv(curve, path)
+        want = _csv_by_rows("freq_hz,re_y_s,im_y_s", f, y.real, y.imag)
+    assert path.read_bytes() == want
+
+
+@pytest.mark.parametrize("call", [
+    lambda stack: AdmittanceCurve(frequencies=np.array([1e9 + 5e8j, 2e9]),
+                                  y=np.array([1j, 2j]), provenance="measured"),
+    lambda stack: strain_energy(stack, np.array([5e9 + 1e8j])),
+    lambda stack: field_profile(stack, np.complex128(5e9 + 1e8j)),
+], ids=["AdmittanceCurve", "strain_energy", "field_profile"])
+def test_complex_frequencies_rejected(nominal, call):
+    """The real-frequency evaluators refuse complex input, whose
+    imaginary part a float cast would drop with only a ComplexWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="must be real"):
+            call(nominal)
 
 
 # -- field_profile -----------------------------------------------------------

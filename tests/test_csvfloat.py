@@ -1,0 +1,98 @@
+"""format_rows against Python's own "%.17g", value by value."""
+
+import math
+import struct
+import sys
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bawkit._csvfloat import format_rows
+
+MAX = sys.float_info.max
+TINY = sys.float_info.min          # smallest normal double
+
+
+def by_value(values):
+    """The reference: "%.17g" % v for each value, one value per row."""
+    return "".join("%.17g\n" % v for v in values).encode()
+
+
+def as_double(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def check(values):
+    got = format_rows(np.array(values, dtype=float).reshape(-1, 1))
+    assert got.split(b"\n") == by_value(values).split(b"\n")
+
+
+NAMED = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+    # subnormals and the normal range's ends
+    1e-310, 2.2250738585072009e-308, TINY, math.nextafter(TINY, 0.0),
+    MAX, -MAX, math.nextafter(MAX, 0.0),
+    # exact ties at the 17th digit, rounded half to even
+    1000000000000000.25, 1000000000000000.75, 2000000000000000.25,
+    # short and long expansions
+    0.5, 1.5, 2.5, 2.0 ** 53, 0.3, 1.0 / 3.0,
+    # where "%g" switches between fixed and exponent notation
+    1e-5, math.nextafter(1e-5, 0.0), math.nextafter(1e-5, 1.0),
+    1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0),
+    1e16, math.nextafter(1e16, 0.0), math.nextafter(1e16, math.inf),
+    1e17, math.nextafter(1e17, 0.0), math.nextafter(1e17, math.inf),
+    99999999999999984.0,
+    # three-digit exponents
+    1e100, 1.2345678901234567e-123, 1e-300, 9.87654321e307,
+]
+
+
+@pytest.mark.parametrize("value", NAMED, ids=repr)
+def test_named_values(value):
+    check([value, -value])
+
+
+@pytest.mark.parametrize("x", [-243, -14, 98])
+def test_carry_into_next_decade(x):
+    """The double nearest 10**x lies just below it, and its 17 digits
+    9.99...95... round up to the next decade: it prints as 1e<x>."""
+    value = float("1e%d" % x)
+    assert Fraction(value) < Fraction(10) ** x
+    assert "%.17g" % value == "1e%+03d" % x
+    check([value, -value])
+
+
+def test_every_decade_edge():
+    """The doubles next to each power of ten, where log10 can miss the
+    decade, over the whole exponent range."""
+    values = []
+    for x in range(-323, 309):
+        p = float("1e%d" % x)
+        values += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+    check(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=50))
+def test_matches_percent_format_on_floats(values):
+    check(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=50))
+def test_matches_percent_format_on_bit_patterns(patterns):
+    check([as_double(b) for b in patterns])
+
+
+def test_matches_percent_format_on_random_bits():
+    """Raw 64-bit patterns, viewed as doubles: every exponent equally
+    likely, subnormals, infinities and NaNs included."""
+    bits = np.random.default_rng(14).integers(0, 2 ** 64, size=(30000, 3),
+                                              dtype=np.uint64)
+    cols = bits.view(np.float64)
+    want = "".join(",".join("%.17g" % v for v in row) + "\n"
+                   for row in cols.tolist()).encode()
+    assert format_rows(cols) == want
