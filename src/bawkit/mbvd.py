@@ -5,31 +5,37 @@ The circuit is a motional branch (rm, lm, cm in series) in parallel with a
 static branch (c0 in series with r0), the pair behind a series electrode
 resistance rs.  Fitting runs in log-parameter space (positivity for free)
 against the relative complex admittance residual, seeded by closed-form
-heuristics from the conductance peak and the off-resonance susceptance.
-The solver is MINPACK's Levenberg-Marquardt `lmder` with the exact
-Jacobian, called through scipy's `leastsq`, which gives every supported
-scipy (>= 1.10) MINPACK's own variable scaling; `least_squares` passed
-diag = 1/x_scale before scipy 1.16.
+heuristics from the conductance peak and the off-resonance admittance:
+c0 from its susceptance, r0 and rs from its resistance Re(1/Y).  From
+these seeds the fixture fit takes 7 residual evaluations.  The solver is
+MINPACK's Levenberg-Marquardt `lmder` with the exact Jacobian, called
+through scipy's `leastsq`, which gives every supported scipy (>= 1.10)
+MINPACK's own variable scaling; `least_squares` passed diag = 1/x_scale
+before scipy 1.16.
 
 Touchstone handling is a hand-rolled version-1 tokenizer because the
 acceptance contract requires line-numbered rejection of malformed files,
-which no off-the-shelf parser provides.  Besides bad syntax it rejects a
-reference impedance that is not finite and > 0, an S value that is not
-finite, and a frequency that is not > 0 or not finite in Hz.  Frequencies
-move into Hz by an exact decimal shift, so they round once.
+which no off-the-shelf parser provides.  The data after the option line
+is split into tokens in one pass; line numbers are worked out only for an
+error.  Besides bad syntax it rejects a reference impedance that is not
+finite and > 0, an S value that is not finite, and a frequency that is
+not > 0 or not finite in Hz.  Frequencies move into Hz by an exact
+decimal shift, so they round once.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from dataclasses import dataclass
 from decimal import Decimal
 
 import numpy as np
 
 from ._csvfloat import format_rows
-from .acoustic1d import AdmittanceCurve, _kernel_frequencies
+from .acoustic1d import (AdmittanceCurve, _kernel_frequencies,
+                         _real_frequencies)
 from .materials import ConfigError
 
 # frequency unit -> its power of ten
@@ -52,7 +58,11 @@ class ConversionError(ValueError):
 
 @dataclass(frozen=True)
 class TouchstoneData:
-    """Two-port S-parameter table with its source-format metadata."""
+    """Two-port S-parameter table with its source-format metadata.
+
+    Frequencies are real, finite, > 0 and strictly increasing, S values
+    finite and z0 finite and > 0; anything else is a ConfigError.
+    """
 
     frequencies: np.ndarray     # Hz
     s: np.ndarray               # (n, 2, 2) complex
@@ -61,10 +71,13 @@ class TouchstoneData:
     data_format: str = "MA"
 
     def __post_init__(self):
-        f = np.asarray(self.frequencies, dtype=float)
+        f = _real_frequencies(self.frequencies)
         s = np.asarray(self.s, dtype=complex)
         if f.ndim != 1 or s.shape != (f.size, 2, 2):
             raise ConfigError("need frequencies (n,) and s (n, 2, 2)")
+        _kernel_frequencies(f)
+        if not np.isfinite(s).all():
+            raise ConfigError("S values must be finite")
         if f.size >= 2 and not np.all(np.diff(f) > 0):
             raise ConfigError("frequencies must be strictly increasing")
         if not 0 < self.z0 < math.inf:
@@ -80,9 +93,14 @@ class TouchstoneData:
         object.__setattr__(self, "s", s)
 
 
-def _strip_comment(line: str) -> str:
-    cut = line.find("!")
-    return line if cut < 0 else line[:cut]
+def _shift_exponent(tok: str, exp: int) -> float:
+    """float() of a literal with an exponent, times 10**exp, rounded once.
+
+    The exponent goes through float(): int() refuses over 4300 digits,
+    which zero padding can reach in a finite literal.
+    """
+    m, _, p = tok.lower().partition("e")
+    return float(f"{m}e{int(float(p)) + exp}")
 
 
 def parse_touchstone(text: str) -> TouchstoneData:
@@ -96,72 +114,73 @@ def parse_touchstone(text: str) -> TouchstoneData:
     reference impedance that is not finite and > 0, a value that is not
     finite, and a frequency that is not > 0 or is not finite in Hz.
     """
+    lines = text.splitlines()
+
+    def content(k: int) -> str:
+        return lines[k].partition("!")[0].strip()
+
+    def option_line(start: int) -> int | None:
+        return next((k for k in range(start, len(lines))
+                     if content(k).startswith("#")), None)
+
+    # the option line must be the first line with content
+    first = next((k for k in range(len(lines)) if content(k)), 0)
+    opt = option_line(0)
+    if opt is None:
+        raise TouchstoneError(first + 1, "missing option line ('# ...')")
+    if opt > first:
+        raise TouchstoneError(opt + 1, "option line after data")
     unit, fmt, z0 = "GHZ", "MA", 50.0
     param = "S"
-    saw_option = False
-    rows: list[list[str]] = []      # the value tokens of each data line
-    row_lines: list[int] = []       # and that line's number
-    lines = text.splitlines()
-    for ln_no, raw in enumerate(lines, start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if saw_option:
-                raise TouchstoneError(ln_no, "duplicate option line")
-            if rows:
-                raise TouchstoneError(ln_no, "option line after data")
-            saw_option = True
-            toks = line[1:].upper().split()
-            i = 0
-            while i < len(toks):
-                t = toks[i]
-                if t in FREQUENCY_UNITS:
-                    unit = t
-                elif t in DATA_FORMATS:
-                    fmt = t
-                elif t == "R":
-                    if i + 1 >= len(toks):
-                        raise TouchstoneError(ln_no, "R without an impedance")
-                    try:
-                        z0 = float(toks[i + 1])
-                    except ValueError:
-                        z0 = math.nan
-                    if not 0 < z0 < math.inf:
-                        raise TouchstoneError(
-                            ln_no, f"reference impedance must be a finite "
-                            f"number > 0, got {toks[i + 1]!r}")
-                    i += 1
-                elif t in ("S", "Y", "Z", "G", "H"):
-                    param = t
-                else:
-                    raise TouchstoneError(ln_no, f"unknown option token {t!r}")
-                i += 1
-            if param != "S":
+    toks = content(opt)[1:].upper().split()
+    i = 0
+    while i < len(toks):
+        t = toks[i]
+        if t in FREQUENCY_UNITS:
+            unit = t
+        elif t in DATA_FORMATS:
+            fmt = t
+        elif t == "R":
+            if i + 1 >= len(toks):
+                raise TouchstoneError(opt + 1, "R without an impedance")
+            try:
+                z0 = float(toks[i + 1])
+            except ValueError:
+                z0 = math.nan
+            if not 0 < z0 < math.inf:
                 raise TouchstoneError(
-                    ln_no, f"expected S-parameters, file declares {param!r}")
-            continue
-        rows.append(line.split())
-        row_lines.append(ln_no)
-
-    if not saw_option:
-        where = next((no for no, raw in enumerate(lines, start=1)
-                      if _strip_comment(raw).strip()), 1)
-        raise TouchstoneError(where, "missing option line ('# ...')")
-    if not rows:
-        raise TouchstoneError(len(lines) or 1, "no data records")
-    tokens = [tok for row in rows for tok in row]
-    if len(tokens) % 9 != 0:
+                    opt + 1, f"reference impedance must be a finite "
+                    f"number > 0, got {toks[i + 1]!r}")
+            i += 1
+        elif t in ("S", "Y", "Z", "G", "H"):
+            param = t
+        else:
+            raise TouchstoneError(opt + 1, f"unknown option token {t!r}")
+        i += 1
+    if param != "S":
         raise TouchstoneError(
-            row_lines[-1], f"two-port records need 9 columns per frequency; "
+            opt + 1, f"expected S-parameters, file declares {param!r}")
+
+    # every line after the option line is data: tokenize them all at once
+    data = " ".join([ln.partition("!")[0] for ln in lines[opt + 1:]])
+    again = option_line(opt + 1) if "#" in data else None
+    if again is not None:
+        raise TouchstoneError(again + 1, "duplicate option line")
+    tokens = data.split()
+    if not tokens:
+        raise TouchstoneError(len(lines), "no data records")
+    if len(tokens) % 9 != 0:
+        last = next(k for k in reversed(range(len(lines))) if content(k))
+        raise TouchstoneError(
+            last + 1, f"two-port records need 9 columns per frequency; "
             f"got {len(tokens)} values total")
 
     def line_of(index: int) -> int:
         """Line of tokens[index]; looked up only to report an error."""
-        for ln_no, row in zip(row_lines, rows):
-            index -= len(row)
+        for k in range(opt + 1, len(lines)):
+            index -= len(content(k).split())
             if index < 0:
-                return ln_no
+                return k + 1
 
     try:
         values = list(map(float, tokens))
@@ -182,14 +201,17 @@ def parse_touchstone(text: str) -> TouchstoneData:
             else "a value must be finite"
         raise TouchstoneError(line_of(k), f"{what}, got {tokens[k]!r}")
 
-    # Shift each frequency (a finite decimal literal by now) into Hz by
-    # rewriting its exponent, so float() rounds its exact value in Hz once.
-    # The exponent goes through float(): int() refuses over 4300 digits,
-    # which zero padding can reach in a finite literal.
+    # Shift each frequency (a finite decimal literal by now) into Hz in
+    # decimal, so float() rounds its exact value in Hz once: append the
+    # unit's exponent to a token that has none, else rewrite its exponent.
     exp = FREQUENCY_UNITS[unit]
-    split = (tok.lower().partition("e") for tok in tokens[::9])
-    freqs = np.array([float(f"{m}e{int(float(p or 0)) + exp}")
-                      for m, _, p in split])
+    if exp == 0:
+        freqs = rec[:, 0].copy()
+    else:
+        suffix = f"e{exp}"
+        freqs = np.array([float(tok + suffix) if "e" not in tok
+                          and "E" not in tok else _shift_exponent(tok, exp)
+                          for tok in tokens[::9]])
     if not np.isfinite(freqs).all():
         k = int(np.argmin(np.isfinite(freqs)))
         raise TouchstoneError(
@@ -374,7 +396,17 @@ def report(p: MbvdParams, residual: float = 0.0, n_iterations: int = 0,
 
 
 def _seed_parameters(freqs: np.ndarray, y: np.ndarray) -> MbvdParams:
-    """Closed-form starting point from the conductance peak geometry."""
+    """Closed-form starting point from the conductance peak geometry.
+
+    fs is the conductance peak and fp the |Y| minimum above it; c0 comes
+    from the susceptance of the outer quarters of the band, cm from c0 and
+    (fp/fs)^2 - 1, lm from fs and cm, and rm from the peak conductance.
+    r0 and rs each start at half the median resistance Re(1/Y) of the
+    same outer quarters, where the static branch in series with rs carries
+    the current, or at 1e-3 ohm when that median is not > 0.  From
+    milliohm seeds Levenberg-Marquardt took about four times as many
+    evaluations, and sometimes stopped far from the minimum.
+    """
     re_y = y.real
     i_fs = int(np.argmax(re_y))
     fs = freqs[i_fs]
@@ -388,16 +420,22 @@ def _seed_parameters(freqs: np.ndarray, y: np.ndarray) -> MbvdParams:
     n = freqs.size
     edge = max(n // 4, 1)
     sel = np.r_[0:edge, n - edge:n]
-    c0 = float(np.median(y[sel].imag / (2.0 * math.pi * freqs[sel])))
+    y_off = y[sel]
+    c0 = float(np.median(y_off.imag / (2.0 * math.pi * freqs[sel])))
     if not c0 > 0:
-        c0 = float(np.median(np.abs(y[sel])) / (2.0 * math.pi * fs))
+        c0 = float(np.median(np.abs(y_off)) / (2.0 * math.pi * fs))
     cm = c0 * ((fp / fs) ** 2 - 1.0)
     if not cm > 0:
         cm = 0.02 * c0
     lm = 1.0 / ((2.0 * math.pi * fs) ** 2 * cm)
     g_peak = float(re_y[i_fs])
     rm = 1.0 / g_peak if g_peak > 0 else 1.0
-    return MbvdParams(rm=rm, lm=lm, cm=cm, c0=c0, r0=1e-3, rs=1e-3)
+    # a zero sample has no impedance; leaving it out keeps 1/Y warning-free
+    z_off = 1.0 / y_off[y_off != 0]
+    r_off = 0.5 * float(np.median(z_off.real)) if z_off.size else 0.0
+    if not r_off > 0:
+        r_off = 1e-3
+    return MbvdParams(rm=rm, lm=lm, cm=cm, c0=c0, r0=r_off, rs=r_off)
 
 
 def fit_mbvd(curve: AdmittanceCurve,
@@ -473,10 +511,16 @@ def fit_mbvd(curve: AdmittanceCurve,
     # which would otherwise be most of the time of `import bawkit`
     from scipy.optimize import leastsq
 
-    # full_output: without it leastsq warns instead of returning ier
-    x, _, info, _, ier = leastsq(residuals, x0, Dfun=jacobian,
-                                 full_output=True, ftol=1e-14, xtol=1e-14,
-                                 gtol=1e-14, maxfev=20000)
+    # full_output: without it leastsq warns instead of returning ier.  It
+    # also computes a covariance, discarded here, whose product can
+    # overflow; only scipy's own RuntimeWarnings are silenced, so those of
+    # the residual and the Jacobian still surface.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", category=RuntimeWarning,
+                                module=r"scipy\.optimize\._minpack_py")
+        x, _, info, _, ier = leastsq(residuals, x0, Dfun=jacobian,
+                                     full_output=True, ftol=1e-14,
+                                     xtol=1e-14, gtol=1e-14, maxfev=20000)
     rm, lm, cm, c0, r0, rs = values(x)
     p_fit = MbvdParams(rm=float(rm), lm=float(lm), cm=float(cm),
                        c0=float(c0), r0=float(r0), rs=float(rs))

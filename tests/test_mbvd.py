@@ -2,6 +2,7 @@
 
 import importlib.resources
 import math
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -111,7 +112,7 @@ def test_parse_errors_carry_line_numbers():
         parse_touchstone("# GHZ S RI R 50\n13.0 0.1 0.2\n")
     assert err.value.line == 2
 
-    with pytest.raises(TouchstoneError) as err:
+    with pytest.raises(TouchstoneError, match="duplicate") as err:
         parse_touchstone("# GHZ S RI R 50\n# GHZ S RI R 50\n")
     assert err.value.line == 2
 
@@ -157,6 +158,18 @@ def test_touchstone_data_rejects_infinite_impedance():
     with pytest.raises(ConfigError, match="reference impedance"):
         TouchstoneData(frequencies=np.array([1e9]),
                        s=np.zeros((1, 2, 2), dtype=complex), z0=math.inf)
+
+
+@pytest.mark.parametrize("freqs, s_value, match", [
+    ([1e9 + 5e8j, 2e9], 0.0, "real"),      # a cast would drop 5e8j
+    ([-1e9, 2e9], 0.0, "> 0"),
+    ([1e9, math.inf], 0.0, "finite"),
+    ([1e9, 2e9], math.nan, "S values"),
+], ids=["complex", "negative", "infinite", "nan-s"])
+def test_touchstone_data_rejects_bad_values(freqs, s_value, match):
+    with pytest.raises(ConfigError, match=match):
+        TouchstoneData(frequencies=np.array(freqs),
+                       s=np.full((2, 2, 2), s_value, dtype=complex), z0=50.0)
 
 
 @st.composite
@@ -464,6 +477,101 @@ def test_fit_scaling_covariance():
     assert q.rs == pytest.approx(true.rs / alpha, rel=1e-3)
 
 
+def realistic_device(rng):
+    """One device from a realistic spread: fs 2-20 GHz, Qs 100-2000, k2
+    1-15%, |Z_c0| at fs 10-500 ohm, r0 and rs 1 mohm-10 ohm (log-uniform
+    where the span is decades), 100-999 points over a band that starts at
+    0.80-0.97 fs and ends at 1.04-1.30 fs.  Returns the true circuit and
+    its noise-free curve."""
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    fs = rng.uniform(2e9, 20e9)
+    qs = log_uniform(100.0, 2000.0)
+    keff2 = rng.uniform(0.01, 0.15)
+    c0 = 1.0 / (2 * math.pi * fs * log_uniform(10.0, 500.0))
+    true = params_for(fs=fs, qs=qs, keff2=keff2, c0=c0,
+                      r0=log_uniform(1e-3, 10.0), rs=log_uniform(1e-3, 10.0))
+    f = np.linspace(rng.uniform(0.80, 0.97) * fs, rng.uniform(1.04, 1.30) * fs,
+                    int(rng.integers(100, 1000)))
+    return true, AdmittanceCurve(frequencies=f, y=mbvd_admittance(true, f),
+                                 provenance="measured")
+
+
+def test_seed_resistances_from_off_resonance_samples():
+    true = params_for()
+    f = np.linspace(12.0e9, 14.6e9, 201)
+    y = mbvd_admittance(true, f)
+    y[0] = 0.0      # no impedance, and no divide-by-zero warning either
+    seed = mbvd._seed_parameters(f, y)
+    assert seed.r0 == seed.rs
+    assert 0.5 * (true.r0 + true.rs) < 2 * seed.r0 < 2 * (true.r0 + true.rs)
+    # a lossless capacitor has no resistance to seed from
+    y_cap = 1j * 2 * math.pi * f * 200e-15
+    assert mbvd._seed_parameters(f, y_cap).r0 == 1e-3
+
+
+def test_realistic_noise_free_devices_fit_exactly():
+    """Seeded with milliohm r0 and rs, LM stopped short on about one
+    noise-free device in twelve; the off-resonance seed reaches the true
+    circuit on each of these."""
+    rng = np.random.default_rng(7)
+    for k in range(40):
+        true, curve = realistic_device(rng)
+        rep = fit_mbvd(curve)
+        assert rep.converged, k
+        assert rep.residual < 1e-9, (k, rep.residual)
+
+
+def test_series_resistance_dominated_device_is_recovered():
+    """rs 3.1 ohm in front of r0 16 mohm: from milliohm seeds the fit
+    stopped at qs 187 with residual 1.0."""
+    true = MbvdParams(rm=0.1708, lm=3.015e-09, cm=4.784e-14, c0=4.977e-13,
+                      r0=0.0159, rs=3.1204)
+    fs = report(true).fs
+    f = np.linspace(0.80 * fs, 1.25 * fs, 218)
+    curve = AdmittanceCurve(frequencies=f, y=mbvd_admittance(true, f),
+                            provenance="measured")
+    rep = fit_mbvd(curve)
+    assert rep.converged
+    assert rep.qs == pytest.approx(report(true).qs, rel=1e-6)
+
+
+def test_fit_silences_only_scipys_covariance_warning(monkeypatch):
+    """leastsq's discarded covariance overflows on this device when the
+    fit starts from milliohm r0 and rs; that warning is scipy's and is
+    dropped, while one from bawkit's own circuit evaluation still
+    surfaces."""
+    true = MbvdParams(rm=0.13482883793531944, lm=3.343642109929671e-09,
+                      cm=4.6305616946781336e-14, c0=6.840872983679707e-13,
+                      r0=0.14837259847702342, rs=4.379543302993531)
+    fs = report(true).fs
+    f = np.linspace(0.8562 * fs, 1.1666 * fs, 599)
+    curve = AdmittanceCurve(frequencies=f, y=mbvd_admittance(true, f),
+                            provenance="measured")
+    seed = mbvd._seed_parameters
+
+    def milliohm_seed(freqs, y):
+        p = seed(freqs, y)
+        return MbvdParams(rm=p.rm, lm=p.lm, cm=p.cm, c0=p.c0,
+                          r0=1e-3, rs=1e-3)
+
+    monkeypatch.setattr(mbvd, "_seed_parameters", milliohm_seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fit_mbvd(curve)
+
+        circuit = mbvd._circuit
+
+        def overflowing(*args):
+            np.exp(np.array([1e3]))
+            return circuit(*args)
+
+        monkeypatch.setattr(mbvd, "_circuit", overflowing)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            fit_mbvd(curve)
+
+
 def test_fit_requires_enough_points():
     true, fs = draw_params(np.random.default_rng(31))
     f = np.linspace(0.9 * fs, 1.1 * fs, 20)
@@ -513,6 +621,9 @@ def test_bundled_fixture_reports_target_metrics():
     assert rep.fs == pytest.approx(13.3e9, rel=1e-3)
     assert abs(rep.fom - 10.9) < 0.3
     assert rep.residual < 1e-6
+    # 7 evaluations from the off-resonance seeds of r0 and rs, against 21
+    # from milliohm seeds
+    assert rep.n_iterations <= 12
 
 
 def test_fit_evaluates_the_circuit_once_per_point(monkeypatch):
