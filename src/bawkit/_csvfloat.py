@@ -1,4 +1,5 @@
-"""CSV text of float64 columns, byte-identical to Python's "%.17g".
+"""bawkit's one CSV writer: float64 columns, every number byte-identical
+to Python's "%.17g", "," between fields and "\\n" after each row.
 
 format_rows does in a few dozen numpy passes what "%.17g" % x does one
 value at a time.  For a finite nonzero x it takes the decimal exponent X
@@ -91,19 +92,30 @@ def _digits(ax):
     return x, n, sure
 
 
-def format_rows(cols) -> bytes:
+def write_csv(path, header: str, cols, blank=None) -> None:
+    """Write the line header, then the rows of format_rows(cols, blank)."""
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        fh.write(format_rows(cols, blank))
+
+
+def format_rows(cols, blank=None) -> bytes:
     """Rows of a 2-D float array as CSV text: "%.17g" % value for each
-    value, "," between columns and "\\n" after each row.
+    value, "," between columns and "\\n" after each row.  Where the
+    boolean array blank (the shape of cols) is True, the field is empty.
 
     The bytes equal "".join(",".join("%.17g" % v for v in row) + "\\n"
     for row in cols) for every float64, signed zeros, infinities, NaN
     and subnormals included.
     """
     cols = np.asarray(cols, dtype=float)
+    if cols.size == 0:
+        return b""
     n_rows, n_cols = cols.shape
     v = cols.ravel()
-    if v.size == 0:
-        return b""
+    # a blanked field is formatted as a zero, then its digit dropped
+    blank = np.zeros(v.size, bool) if blank is None else np.ravel(blank)
+    v = np.where(blank, 0.0, v)
     ax = np.abs(v)
     zero = ax == 0.0
     fast = np.isfinite(ax) & ~zero
@@ -159,6 +171,7 @@ def format_rows(cols) -> bytes:
     # a zero is its sign and one digit
     out[_SIGN + 1:_SEP, zero] = 0
     out[_DIGIT, zero] = ord("0")
+    out[_DIGIT, blank] = 0
     slow = np.flatnonzero(~(fast | zero))
     for i, value in zip(slow.tolist(), v[slow].tolist()):
         text = b"%.17g" % value

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvfloat import format_rows
+from ._csvfloat import write_csv
 from .materials import ConfigError, DerivedConstants, Stack, derive_constants
 
 
@@ -79,7 +79,6 @@ class AdmittanceCurve:
 
     frequencies: np.ndarray
     y: np.ndarray
-    provenance: str
 
     def __post_init__(self):
         f = _real_frequencies(self.frequencies)
@@ -89,8 +88,6 @@ class AdmittanceCurve:
         _kernel_frequencies(f)
         if f.size >= 2 and not np.all(np.diff(f) > 0):
             raise ConfigError("frequencies must be strictly increasing")
-        if self.provenance not in ("simulated-bvp", "simulated-mason", "measured"):
-            raise ConfigError(f"unknown provenance {self.provenance!r}")
         f.flags.writeable = False
         y.flags.writeable = False
         object.__setattr__(self, "frequencies", f)
@@ -418,14 +415,13 @@ _BACKENDS = {"bvp": admittance_bvp, "mason": admittance_mason}
 
 
 def spectrum(stack: Stack, grid: FrequencyGrid, backend: str = "bvp") -> AdmittanceCurve:
-    """Admittance over a frequency grid with provenance attached."""
+    """Admittance over a frequency grid."""
     if backend not in _BACKENDS:
         raise ConfigError(f"backend must be one of {sorted(_BACKENDS)}, "
                           f"got {backend!r}")
     freqs = grid.frequencies()
     y = _BACKENDS[backend](stack, freqs)
-    return AdmittanceCurve(frequencies=freqs, y=y,
-                           provenance=f"simulated-{backend}")
+    return AdmittanceCurve(frequencies=freqs, y=y)
 
 
 def _wave_solution(stack: Stack, f):
@@ -695,7 +691,5 @@ def export_spectrum_csv(curve: AdmittanceCurve, path) -> None:
     Every number is exactly Python's format(value, ".17g"), so float()
     of each field gives back the stored double.
     """
-    cols = np.column_stack((curve.frequencies, curve.y.real, curve.y.imag))
-    with open(path, "wb") as fh:
-        fh.write(b"freq_hz,re_y_s,im_y_s\n")
-        fh.write(format_rows(cols))
+    write_csv(path, "freq_hz,re_y_s,im_y_s",
+              np.column_stack((curve.frequencies, curve.y.real, curve.y.imag)))

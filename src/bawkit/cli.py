@@ -234,7 +234,7 @@ def cmd_fit(args) -> int:
 
     keep = (curve.frequencies >= lo) & (curve.frequencies <= hi)
     fitted = AdmittanceCurve(frequencies=curve.frequencies[keep],
-                             y=curve.y[keep], provenance="measured")
+                             y=curve.y[keep])
     out = _ensure_out(args)
     (out / "fit_report.txt").write_text(format_fit_report(rep),
                                         encoding="utf-8", newline="\n")

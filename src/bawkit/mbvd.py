@@ -33,7 +33,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from ._csvfloat import format_rows
+from ._csvfloat import write_csv
 from .acoustic1d import (AdmittanceCurve, _kernel_frequencies,
                          _real_frequencies)
 from .materials import ConfigError
@@ -193,12 +193,24 @@ def parse_touchstone(text: str) -> TouchstoneData:
         raise
     rec = np.array(values).reshape(-1, 9)
     n = rec.shape[0]
+    a = rec[:, 1::2]
+    b = rec[:, 2::2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if fmt == "RI":
+            s_flat = a + 1j * b
+        elif fmt == "MA":
+            s_flat = a * np.exp(1j * np.deg2rad(b))
+        else:   # DB
+            s_flat = 10.0 ** (a / 20.0) * np.exp(1j * np.deg2rad(b))
     bad = ~np.isfinite(rec)
     bad[:, 0] |= rec[:, 0] <= 0
+    # a DB magnitude above about 6165 dB overflows: where a finite pair
+    # gives an S value that is not finite, the magnitude is at fault
+    bad[:, 1::2] |= ~(np.isfinite(s_flat) | bad[:, 2::2])
     if bad.any():
         k = int(np.argmax(bad))
         what = "a frequency must be finite and > 0" if k % 9 == 0 \
-            else "a value must be finite"
+            else "an S value must be finite"
         raise TouchstoneError(line_of(k), f"{what}, got {tokens[k]!r}")
 
     # Shift each frequency (a finite decimal literal by now) into Hz in
@@ -224,14 +236,6 @@ def parse_touchstone(text: str) -> TouchstoneData:
             line_of(9 * k), f"frequencies must be strictly increasing "
             f"({rec[k, 0]:g} after {rec[k - 1, 0]:g})")
 
-    a = rec[:, 1::2]
-    b = rec[:, 2::2]
-    if fmt == "RI":
-        s_flat = a + 1j * b
-    elif fmt == "MA":
-        s_flat = a * np.exp(1j * np.deg2rad(b))
-    else:   # DB
-        s_flat = 10.0 ** (a / 20.0) * np.exp(1j * np.deg2rad(b))
     # v1 two-port column order: S11, S21, S12, S22
     s = s_flat[:, [0, 2, 1, 3]].reshape(n, 2, 2)
     return TouchstoneData(frequencies=freqs, s=s, z0=z0, unit=unit,
@@ -318,8 +322,7 @@ def transmission_admittance(data: TouchstoneData,
             f"topology must be one of {TOPOLOGIES}, got {topology!r}")
     y = s_to_y(data)
     y_dev = -y[:, 0, 1] if topology == "series" else y[:, 0, 0]
-    return AdmittanceCurve(frequencies=data.frequencies, y=y_dev,
-                           provenance="measured")
+    return AdmittanceCurve(frequencies=data.frequencies, y=y_dev)
 
 
 @dataclass(frozen=True)
@@ -573,8 +576,6 @@ def export_fit_curve_csv(curve: AdmittanceCurve, rep: FitReport,
     of each field gives back the stored double.
     """
     y_model = mbvd_admittance(rep.params, curve.frequencies)
-    cols = np.column_stack((curve.frequencies, curve.y.real, curve.y.imag,
-                            y_model.real, y_model.imag))
-    with open(path, "wb") as fh:
-        fh.write(b"freq_hz,re_y_data,im_y_data,re_y_model,im_y_model\n")
-        fh.write(format_rows(cols))
+    write_csv(path, "freq_hz,re_y_data,im_y_data,re_y_model,im_y_model",
+              np.column_stack((curve.frequencies, curve.y.real, curve.y.imag,
+                               y_model.real, y_model.imag)))

@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._csvfloat import write_csv
 from .acoustic1d import EnergyPartition, FrequencyGrid, \
     _open_circuit_modes, _open_circuit_theta, admittance_bvp, \
     admittance_mason, strain_energy
@@ -452,15 +453,11 @@ def find_modes(stack: Stack, band: FrequencyGrid, max_modes: int, *,
 
 
 def export_modes_csv(modes: list[ModeSummary], path) -> None:
-    """Write mode,fs_hz,fp_hz,keff2,eta,qm,fom,keff2_def rows; keff2_def
-    is always ieee, the definition find_modes uses."""
-    lines = ["mode,fs_hz,fp_hz,keff2,eta,qm,fom,keff2_def"]
-    for m in modes:
-        lines.append(
-            f"{m.mode_index},{m.fs:.17g},{m.fp:.17g},{m.keff2:.17g},"
-            f"{m.eta:.17g},{m.qm:.17g},{m.fom:.17g},ieee")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write mode,fs_hz,fp_hz,keff2,eta,qm,fom,coupling_null rows: mode
+    is the physical mode_number, coupling_null is 0 or 1."""
+    write_csv(path, "mode,fs_hz,fp_hz,keff2,eta,qm,fom,coupling_null",
+              [[m.mode_number, m.fs, m.fp, m.keff2, m.eta, m.qm, m.fom,
+                m.coupling_null] for m in modes])
 
 
 def _lowest_fs(stack: Stack, band: FrequencyGrid) -> float:

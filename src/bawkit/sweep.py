@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._csvfloat import write_csv
 from .acoustic1d import FrequencyGrid, PhysicsError
 from .materials import ConfigError, Stack, derive_constants
 from .modal import ModeSearchError, find_modes
@@ -96,7 +97,6 @@ class SweepResult:
     top_thicknesses: np.ndarray
     bottom_thicknesses: np.ndarray
     t_piezo: float
-    f0_piezo: float
     fs: np.ndarray
     keff2: np.ndarray
     eta: np.ndarray
@@ -178,11 +178,10 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
     if mask.sum() * 2 > n * n:
         raise BandCoverageError("band does not cover requested modes")
 
-    f0 = derive_constants(cfg.base).f0_piezo
     metrics.setflags(write=False)
     fs, keff2, eta, qm, fom = np.moveaxis(
         metrics.reshape(n, n, cfg.n_modes, 5), -1, 0)
-    fs_norm = fs / f0
+    fs_norm = fs / derive_constants(cfg.base).f0_piezo
     # masked cells hold NaN, so the per-mode maxima are over solved cells
     keff2_norm = keff2 / np.nanmax(keff2, axis=(0, 1))
     fom_norm = fom / np.nanmax(fom, axis=(0, 1))
@@ -191,13 +190,8 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
         arr.setflags(write=False)
     return SweepResult(
         top_thicknesses=axis.copy(), bottom_thicknesses=axis.copy(),
-        t_piezo=cfg.base.t_piezo, f0_piezo=f0,
-        fs=fs, keff2=keff2, eta=eta, qm=qm, fom=fom,
+        t_piezo=cfg.base.t_piezo, fs=fs, keff2=keff2, eta=eta, qm=qm, fom=fom,
         fs_norm=fs_norm, keff2_norm=keff2_norm, fom_norm=fom_norm, mask=mask)
-
-
-_CSV_HEADER = ("t_top_m,t_bot_m,mode,fs_hz,fs_norm,keff2,keff2_norm,"
-               "eta,qm,fom,fom_norm,ok")
 
 
 def export_sweep_csv(result: SweepResult, path) -> None:
@@ -207,19 +201,16 @@ def export_sweep_csv(result: SweepResult, path) -> None:
     leave every metric column empty.  Numbers carry 17 significant digits,
     so float() of a field gives back the grid value bit for bit.
     """
-    g = "{:.17g}".format
-    values = np.stack([getattr(result, name) for name in _GRIDS],
-                      axis=-1).tolist()
-    mask = result.mask.tolist()
-    lines = [_CSV_HEADER]
-    for j, t_bot in enumerate(result.bottom_thicknesses.tolist()):
-        for i, t_top in enumerate(result.top_thicknesses.tolist()):
-            for m, row in enumerate(values[j][i]):
-                tail = (",,,,,,,,,0" if mask[j][i]
-                        else "," + ",".join(map(g, row)) + ",1")
-                lines.append(f"{g(t_top)},{g(t_bot)},{m}{tail}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    mask = np.broadcast_to(result.mask[:, :, None], result.fs.shape)
+    cols = np.stack(np.broadcast_arrays(
+        result.top_thicknesses[:, None],
+        result.bottom_thicknesses[:, None, None], np.arange(mask.shape[2]),
+        *(getattr(result, name) for name in _GRIDS), ~mask), axis=-1)
+    cols = cols.reshape(-1, cols.shape[-1])
+    blank = np.zeros(cols.shape, dtype=bool)
+    blank[:, 3:-1] = mask.reshape(-1, 1)
+    write_csv(path, "t_top_m,t_bot_m,mode,fs_hz,fs_norm,keff2,keff2_norm,"
+              "eta,qm,fom,fom_norm,ok", cols, blank)
 
 
 def _ramp_color(t: float) -> str:

@@ -247,8 +247,7 @@ def test_mbvd_recovery_tolerances():
         noise = (g.standard_normal(clean.y.size)
                  + 1j * g.standard_normal(clean.y.size)) / math.sqrt(2)
         noisy = AdmittanceCurve(frequencies=clean.frequencies,
-                                y=clean.y * (1 + 0.01 * noise),
-                                provenance="measured")
+                                y=clean.y * (1 + 0.01 * noise))
         rep = fit_mbvd(noisy)
         worst_p = max(worst_p, max(param_errors(rep.params, true).values()))
         worst_fs = max(worst_fs, abs(rep.fs - 13.3e9) / 13.3e9)
@@ -261,7 +260,7 @@ def test_mbvd_recovery_tolerances():
     curve = synth_curve(true, 0.85 * fs, 1.25 * fs)
     alpha = 3.7
     rep = fit_mbvd(AdmittanceCurve(frequencies=curve.frequencies,
-                                   y=alpha * curve.y, provenance="measured"))
+                                   y=alpha * curve.y))
     expect = (true.rm / alpha, true.lm / alpha, true.cm * alpha,
               true.c0 * alpha, true.r0 / alpha, true.rs / alpha)
     got = (rep.params.rm, rep.params.lm, rep.params.cm, rep.params.c0,

@@ -337,10 +337,8 @@ def test_spectrum_composes_single_point_calls(nominal):
     curve = spectrum(nominal, grid, backend="bvp")
     assert curve.y[0] == admittance_bvp(nominal, 5e9)
     assert curve.y[1] == admittance_bvp(nominal, 7e9)
-    assert curve.provenance == "simulated-bvp"
     curve_m = spectrum(nominal, grid, backend="mason")
     assert curve_m.y[0] == admittance_mason(nominal, 5e9)
-    assert curve_m.provenance == "simulated-mason"
 
 
 def test_spectrum_rejects_unknown_backend(nominal):
@@ -365,17 +363,14 @@ def test_backend_agreement_on_grid(nominal):
 def test_admittance_curve_validation():
     with pytest.raises(ConfigError):
         AdmittanceCurve(frequencies=np.array([2e9, 1e9]),
-                        y=np.array([1j, 2j]), provenance="measured")
+                        y=np.array([1j, 2j]))
     with pytest.raises(ConfigError):
         AdmittanceCurve(frequencies=np.array([1e9, 2e9]),
-                        y=np.array([1j]), provenance="measured")
-    with pytest.raises(ConfigError):
-        AdmittanceCurve(frequencies=np.array([1e9, 2e9]),
-                        y=np.array([1j, 2j]), provenance="guessed")
+                        y=np.array([1j]))
     for bad in (math.nan, 0.0, -1e9):
         with pytest.raises(ConfigError):
             AdmittanceCurve(frequencies=np.array([bad, 2e9]),
-                            y=np.array([1j, 2j]), provenance="measured")
+                            y=np.array([1j, 2j]))
 
 
 def test_spectrum_csv_round_trip(nominal, tmp_path):
@@ -412,7 +407,7 @@ def _special_curve():
     y = np.empty(freqs.size, dtype=complex)
     y.real = re
     y.imag = im
-    return AdmittanceCurve(frequencies=freqs, y=y, provenance="measured")
+    return AdmittanceCurve(frequencies=freqs, y=y)
 
 
 @pytest.mark.parametrize("which", ["special", "spectrum", "bench",
@@ -426,8 +421,7 @@ def test_spectrum_csv_matches_row_formatting(nominal, tmp_path, which):
         # the largest spectrum the benchmark writes
         curve = spectrum(nominal, FrequencyGrid(0.5e9, 40e9, 16001))
     else:
-        curve = AdmittanceCurve(frequencies=np.array([]), y=np.array([]),
-                                provenance="measured")
+        curve = AdmittanceCurve(frequencies=np.array([]), y=np.array([]))
     path = tmp_path / "spectrum.csv"
     f, y = curve.frequencies, curve.y
     if which == "fit_curve":
@@ -445,7 +439,7 @@ def test_spectrum_csv_matches_row_formatting(nominal, tmp_path, which):
 
 @pytest.mark.parametrize("call", [
     lambda stack: AdmittanceCurve(frequencies=np.array([1e9 + 5e8j, 2e9]),
-                                  y=np.array([1j, 2j]), provenance="measured"),
+                                  y=np.array([1j, 2j])),
     lambda stack: strain_energy(stack, np.array([5e9 + 1e8j])),
     lambda stack: field_profile(stack, np.complex128(5e9 + 1e8j)),
 ], ids=["AdmittanceCurve", "strain_energy", "field_profile"])

@@ -16,18 +16,23 @@ MAX = sys.float_info.max
 TINY = sys.float_info.min          # smallest normal double
 
 
-def by_value(values):
-    """The reference: "%.17g" % v for each value, one value per row."""
-    return "".join("%.17g\n" % v for v in values).encode()
+def by_value(values, blank=None):
+    """The reference: "%.17g" % v for each value, one value per row; an
+    empty row where blank is True."""
+    blank = blank or [False] * len(values)
+    return "".join("\n" if b else "%.17g\n" % v
+                   for v, b in zip(values, blank)).encode()
 
 
 def as_double(bits):
     return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
 
-def check(values):
-    got = format_rows(np.array(values, dtype=float).reshape(-1, 1))
-    assert got.split(b"\n") == by_value(values).split(b"\n")
+def check(values, blank=None):
+    cols = np.array(values, dtype=float).reshape(-1, 1)
+    got = format_rows(cols, None if blank is None else
+                      np.reshape(blank, cols.shape))
+    assert got.split(b"\n") == by_value(values, blank).split(b"\n")
 
 
 NAMED = [
@@ -76,9 +81,11 @@ def test_every_decade_edge():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.floats(), min_size=1, max_size=50))
-def test_matches_percent_format_on_floats(values):
-    check(values)
+@given(st.lists(st.floats(), min_size=1, max_size=50),
+       st.none() | st.lists(st.booleans(), min_size=50, max_size=50))
+def test_matches_percent_format_on_floats(values, blank):
+    """With a blank mask, blanked fields are empty and the rest unchanged."""
+    check(values, blank and blank[:len(values)])
 
 
 @settings(max_examples=300, deadline=None)

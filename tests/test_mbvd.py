@@ -44,8 +44,7 @@ def synth_curve(p, f_lo, f_hi, n=601):
     lo = max(f_lo, fs - half_width)
     hi = min(f_hi, fs + half_width)
     f = np.unique(np.concatenate([f, np.linspace(lo, hi, 401)]))
-    return AdmittanceCurve(frequencies=f, y=mbvd_admittance(p, f),
-                           provenance="measured")
+    return AdmittanceCurve(frequencies=f, y=mbvd_admittance(p, f))
 
 
 # -- parse_touchstone --------------------------------------------------------
@@ -152,6 +151,21 @@ def test_non_finite_values_name_their_line(row, col, token):
         parse_touchstone(text)
     assert err.value.line == row + 2
     assert token in str(err.value)
+
+
+def test_db_magnitude_overflow_names_its_line():
+    """10 ** (dB / 20) overflows above about 6165 dB: the magnitude token
+    is reported on its own line, wrapped records included.  A magnitude
+    that underflows to 0 is a valid S value."""
+    for row, col in ((0, 1), (1, 2), (3, 7)):
+        rows = [list(r) for r in RECORDS]
+        rows[row][col] = "7000"
+        text = "# GHZ S DB R 50\n" + "".join(" ".join(r) + "\n" for r in rows)
+        with pytest.raises(TouchstoneError, match="'7000'") as err:
+            parse_touchstone(text)
+        assert err.value.line == row + 2
+    data = parse_touchstone(text.replace("7000", "-7000"))
+    assert data.s[2, 1, 1] == 0
 
 
 def test_touchstone_data_rejects_infinite_impedance():
@@ -285,7 +299,6 @@ def test_transmission_admittance_topologies():
     shunt = transmission_admittance(data, topology="shunt")
     assert series.y[0] == -y[0, 0, 1]
     assert shunt.y[0] == y[0, 0, 0]
-    assert series.provenance == "measured"
     with pytest.raises(ConfigError):
         transmission_admittance(data, topology="bridge")
 
@@ -451,8 +464,7 @@ def test_noisy_recovery_stays_close():
         noise = (rng.standard_normal(clean.y.size)
                  + 1j * rng.standard_normal(clean.y.size)) / math.sqrt(2)
         noisy = AdmittanceCurve(frequencies=clean.frequencies,
-                                y=clean.y * (1 + 0.01 * noise),
-                                provenance="measured")
+                                y=clean.y * (1 + 0.01 * noise))
         rep = fit_mbvd(noisy)
         assert rep.converged
         assert abs(rep.fs - 13.3e9) / 13.3e9 < 5e-4
@@ -465,7 +477,7 @@ def test_fit_scaling_covariance():
     curve = synth_curve(true, 0.85 * fs, 1.25 * fs)
     alpha = 7.3
     scaled = AdmittanceCurve(frequencies=curve.frequencies,
-                             y=alpha * curve.y, provenance="measured")
+                             y=alpha * curve.y)
     rep = fit_mbvd(scaled)
     assert rep.converged
     q = rep.params
@@ -494,8 +506,7 @@ def realistic_device(rng):
                       r0=log_uniform(1e-3, 10.0), rs=log_uniform(1e-3, 10.0))
     f = np.linspace(rng.uniform(0.80, 0.97) * fs, rng.uniform(1.04, 1.30) * fs,
                     int(rng.integers(100, 1000)))
-    return true, AdmittanceCurve(frequencies=f, y=mbvd_admittance(true, f),
-                                 provenance="measured")
+    return true, AdmittanceCurve(frequencies=f, y=mbvd_admittance(true, f))
 
 
 def test_seed_resistances_from_off_resonance_samples():
@@ -530,8 +541,7 @@ def test_series_resistance_dominated_device_is_recovered():
                       r0=0.0159, rs=3.1204)
     fs = report(true).fs
     f = np.linspace(0.80 * fs, 1.25 * fs, 218)
-    curve = AdmittanceCurve(frequencies=f, y=mbvd_admittance(true, f),
-                            provenance="measured")
+    curve = AdmittanceCurve(frequencies=f, y=mbvd_admittance(true, f))
     rep = fit_mbvd(curve)
     assert rep.converged
     assert rep.qs == pytest.approx(report(true).qs, rel=1e-6)
@@ -547,8 +557,7 @@ def test_fit_silences_only_scipys_covariance_warning(monkeypatch):
                       r0=0.14837259847702342, rs=4.379543302993531)
     fs = report(true).fs
     f = np.linspace(0.8562 * fs, 1.1666 * fs, 599)
-    curve = AdmittanceCurve(frequencies=f, y=mbvd_admittance(true, f),
-                            provenance="measured")
+    curve = AdmittanceCurve(frequencies=f, y=mbvd_admittance(true, f))
     seed = mbvd._seed_parameters
 
     def milliohm_seed(freqs, y):
@@ -575,8 +584,7 @@ def test_fit_silences_only_scipys_covariance_warning(monkeypatch):
 def test_fit_requires_enough_points():
     true, fs = draw_params(np.random.default_rng(31))
     f = np.linspace(0.9 * fs, 1.1 * fs, 20)
-    curve = AdmittanceCurve(frequencies=f, y=mbvd_admittance(true, f),
-                            provenance="measured")
+    curve = AdmittanceCurve(frequencies=f, y=mbvd_admittance(true, f))
     with pytest.raises(ConfigError, match="50"):
         fit_mbvd(curve)
 
@@ -584,7 +592,7 @@ def test_fit_requires_enough_points():
 def test_fit_requires_a_conductance_peak():
     f = np.linspace(1e9, 2e9, 101)
     y = 1j * 2 * math.pi * f * 200e-15  # bare capacitor, no resonance
-    curve = AdmittanceCurve(frequencies=f, y=y, provenance="measured")
+    curve = AdmittanceCurve(frequencies=f, y=y)
     with pytest.raises(ConfigError, match="conductance peak"):
         fit_mbvd(curve)
 
@@ -665,8 +673,7 @@ def test_reported_residual_matches_model():
     noise = (rng.standard_normal(clean.y.size)
              + 1j * rng.standard_normal(clean.y.size)) / math.sqrt(2)
     noisy = AdmittanceCurve(frequencies=clean.frequencies,
-                            y=clean.y * (1 + 0.01 * noise),
-                            provenance="measured")
+                            y=clean.y * (1 + 0.01 * noise))
     rep = fit_mbvd(noisy)
     assert rep.converged
     assert rep.residual > 1e-3

@@ -406,19 +406,23 @@ def test_find_modes_backend_choice(calibrated_stack):
 
 
 def test_modes_csv_round_trip(calibrated_stack, tmp_path):
-    modes = find_modes(calibrated_stack, CAL_BAND, 2)
+    """The mode column is the physical mode number: a band above the
+    fundamental starts at mode 1, not 0."""
     path = tmp_path / "modes.csv"
-    export_modes_csv(modes, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["mode", "fs_hz", "fp_hz", "keff2", "eta", "qm", "fom",
-                       "keff2_def"]
-    assert len(rows) == 3
-    for row, m in zip(rows[1:], modes):
-        assert int(row[0]) == m.mode_index
-        assert float(row[1]) == m.fs
-        assert float(row[3]) == m.keff2
-        assert row[7] == "ieee"
+    for band, n_modes, numbers in ((CAL_BAND, 2, [0, 1]),
+                                   (FrequencyGrid(7e9, 20e9, 1301), 3,
+                                    [1, 2, 3])):
+        modes = find_modes(calibrated_stack, band, n_modes)
+        export_modes_csv(modes, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["mode", "fs_hz", "fp_hz", "keff2", "eta", "qm",
+                           "fom", "coupling_null"]
+        assert [int(row[0]) for row in rows[1:]] == numbers
+        for row, m in zip(rows[1:], modes, strict=True):
+            assert row[1:] == ["%.17g" % v for v in (
+                m.fs, m.fp, m.keff2, m.eta, m.qm, m.fom)] + [
+                str(int(m.coupling_null))]
 
 
 # -- calibration -------------------------------------------------------------

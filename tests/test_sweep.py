@@ -98,7 +98,6 @@ def test_fs_norm_uses_piezo_natural_frequency(grid4):
     f0 = 18601630544.4886
     ratio = grid4.fs[:, :, 0] / grid4.fs_norm[:, :, 0]
     assert np.allclose(ratio, f0, rtol=1e-9)
-    assert grid4.f0_piezo == pytest.approx(f0, rel=1e-9)
 
 
 def test_normalized_grids_match_per_mode_loop(nominal, monkeypatch):
@@ -227,7 +226,7 @@ def synthetic_result():
     return SweepResult(
         top_thicknesses=np.array([50e-9, 500e-9]),
         bottom_thicknesses=np.array([50e-9, 500e-9]),
-        t_piezo=250e-9, f0_piezo=1e10,
+        t_piezo=250e-9,
         fs=fs, fs_norm=fs / 1e10,
         keff2=0.1 * ones, keff2_norm=vals,
         eta=0.5 * ones, qm=300.0 * ones,
