@@ -147,28 +147,25 @@ def cmd_simulate(args) -> int:
               "backend": args.backend, "modes": args.modes}
     extras = {}
     stack = _calibrate(stack, grid, args, config, extras)
-    out = _ensure_out(args)
 
+    # every result is in hand before the first file is written
     backends = ("bvp", "mason") if args.backend == "both" else (args.backend,)
-    outputs = []
-    curves = {}
-    for b in backends:
-        curve = spectrum(stack, grid, backend=b)
-        name = f"spectrum_{b}.csv"
-        export_spectrum_csv(curve, out / name)
-        outputs.append(name)
-        curves[b] = curve
-
+    curves = {b: spectrum(stack, grid, backend=b) for b in backends}
     modes = find_modes(stack, grid, max_modes=args.modes,
                        backend=backends[0])
-    export_modes_csv(modes, out / "modes.csv")
-    outputs.append("modes.csv")
-
     if args.backend == "both":
         dev = np.max(np.abs(curves["bvp"].y - curves["mason"].y)
                      / np.abs(curves["mason"].y))
         extras["max_backend_rel_deviation"] = f"{dev:.17g}"
 
+    out = _ensure_out(args)
+    outputs = []
+    for b, curve in curves.items():
+        name = f"spectrum_{b}.csv"
+        export_spectrum_csv(curve, out / name)
+        outputs.append(name)
+    export_modes_csv(modes, out / "modes.csv")
+    outputs.append("modes.csv")
     write_manifest(out, "simulate", config, {"stack": stack_path}, outputs,
                    extras)
     return 0

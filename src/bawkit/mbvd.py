@@ -295,18 +295,20 @@ def s_to_y(data: TouchstoneData) -> np.ndarray:
     s = data.s
     s11, s12 = s[:, 0, 0], s[:, 0, 1]
     s21, s22 = s[:, 1, 0], s[:, 1, 1]
-    delta = (1.0 + s11) * (1.0 + s22) - s12 * s21
-    bad = np.abs(delta) < 1e-30
-    if np.any(bad):
-        f_bad = data.frequencies[np.argmax(bad)]
-        raise ConversionError(
-            f"S->Y conversion singular at {f_bad:.9g} Hz")
     y = np.empty_like(s)
-    dz = delta * data.z0
-    y[:, 0, 0] = ((1.0 - s11) * (1.0 + s22) + s12 * s21) / dz
-    y[:, 0, 1] = -2.0 * s12 / dz
-    y[:, 1, 0] = -2.0 * s21 / dz
-    y[:, 1, 1] = ((1.0 + s11) * (1.0 - s22) + s12 * s21) / dz
+    with np.errstate(all="ignore"):
+        delta = (1.0 + s11) * (1.0 + s22) - s12 * s21
+        dz = delta * data.z0
+        y[:, 0, 0] = ((1.0 - s11) * (1.0 + s22) + s12 * s21) / dz
+        y[:, 0, 1] = -2.0 * s12 / dz
+        y[:, 1, 0] = -2.0 * s21 / dz
+        y[:, 1, 1] = ((1.0 + s11) * (1.0 - s22) + s12 * s21) / dz
+    # finite S values whose products overflow give a non-finite Y
+    for bad, why in ((np.abs(delta) < 1e-30, "singular"),
+                     (~np.isfinite(y).all(axis=(1, 2)), "overflows")):
+        if np.any(bad):
+            f_bad = data.frequencies[np.argmax(bad)]
+            raise ConversionError(f"S->Y conversion {why} at {f_bad:.9g} Hz")
     return y
 
 
@@ -433,9 +435,7 @@ def _seed_parameters(freqs: np.ndarray, y: np.ndarray) -> MbvdParams:
     lm = 1.0 / ((2.0 * math.pi * fs) ** 2 * cm)
     g_peak = float(re_y[i_fs])
     rm = 1.0 / g_peak if g_peak > 0 else 1.0
-    # a zero sample has no impedance; leaving it out keeps 1/Y warning-free
-    z_off = 1.0 / y_off[y_off != 0]
-    r_off = 0.5 * float(np.median(z_off.real)) if z_off.size else 0.0
+    r_off = 0.5 * float(np.median((1.0 / y_off).real))
     if not r_off > 0:
         r_off = 1e-3
     return MbvdParams(rm=rm, lm=lm, cm=cm, c0=c0, r0=r_off, rs=r_off)
@@ -450,8 +450,8 @@ def fit_mbvd(curve: AdmittanceCurve,
     Jacobian, ftol = xtol = gtol = 1e-14, at most 20000 evaluations),
     started from closed-form seeds.  n_iterations is MINPACK's count of
     residual evaluations.  Non-convergence is reported through the flag,
-    never raised.  Requires >= 50 points in the band and an interior
-    conductance peak.
+    never raised.  Requires >= 50 points in the band, each with a finite
+    non-zero Y, and an interior conductance peak.
     """
     freqs = curve.frequencies
     y = curve.y
@@ -465,6 +465,11 @@ def fit_mbvd(curve: AdmittanceCurve,
     if freqs.size < 50:
         raise ConfigError(
             f"need at least 50 points in the fitted band, got {freqs.size}")
+    bad = (y == 0) | ~np.isfinite(y)
+    if np.any(bad):
+        # the residual is relative to |Y|, undefined at such a sample
+        raise ConfigError(f"admittance is zero or not finite at "
+                          f"{freqs[np.argmax(bad)]:.9g} Hz")
     i_peak = int(np.argmax(y.real))
     if i_peak in (0, freqs.size - 1):
         raise ConfigError("no conductance peak in band")

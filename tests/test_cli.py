@@ -192,6 +192,19 @@ def test_simulate_band_without_modes_is_physics_error(stack_file, tmp_path,
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["--fmin", "3GHz", "--fmax", "15GHz", "--modes", "0"], 2),
+    (["--fmin", "0.5GHz", "--fmax", "1GHz"], 3),   # no resonance in band
+])
+def test_simulate_failed_mode_search_writes_nothing(stack_file, tmp_path,
+                                                     capsys, argv, code):
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--stack", str(stack_file), "--points",
+                     "201", "--out", str(out)] + argv) == code
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_reruns_byte_identical(stack_file, tmp_path, capsys):
     args = ["simulate", "--stack", str(stack_file), "--fmin", "3GHz",
             "--fmax", "8GHz", "--points", "301"]

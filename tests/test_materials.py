@@ -1,8 +1,11 @@
 """Material table, stack configuration, and derived-constant checks."""
 
+import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bawkit import ConfigError, Layer, Material, Stack, load_stack
 from bawkit.materials import (EPS0, default_materials, derive_constants,
@@ -141,6 +144,14 @@ def test_default_materials_table():
     assert table["scaln30"].q_mech == 2000.0
 
 
+def test_nominal_stack_mirrors_the_bundled_table(nominal):
+    table = default_materials()
+    for lay in nominal.layers:
+        mat = lay.material
+        assert mat == dataclasses.replace(table[mat.name],
+                                          citation=mat.citation)
+
+
 def test_serialize_round_trip(nominal):
     text = serialize_stack(nominal)
     again = load_stack(text)
@@ -171,3 +182,53 @@ def test_load_stack_rejects_garbage():
         load_stack("just some text\n")
     with pytest.raises(ConfigError):
         load_stack("layers: []\n")
+
+
+positive = st.floats(min_value=1e-30, max_value=1e30)
+
+
+@st.composite
+def materials(draw, name, piezo):
+    """A Material with every field drawn; a piezo one has e33 != 0."""
+    e33 = draw(st.floats(min_value=-10, max_value=10).filter(bool) if piezo
+               else st.sampled_from([0.0, 2.5]))
+    eps33s = draw(positive if piezo or e33 else st.sampled_from([0.0, 1e-10]))
+    return Material(name=name, density=draw(positive), c33e=draw(positive),
+                    q_mech=draw(positive), e33=e33, eps33s=eps33s,
+                    tan_delta=draw(st.sampled_from([0.0, 0.02]) | positive),
+                    lossless=draw(st.booleans()),
+                    citation=draw(st.text()))
+
+
+@st.composite
+def stacks(draw):
+    """Up to four layers whose thicknesses are nm * 1e-9, as read from a file."""
+    thickness = st.integers(1, 10 ** 6).map(lambda nm: nm * 1e-9)
+    n = draw(st.integers(1, 4))
+    ip = draw(st.integers(0, n - 1))
+    layers = tuple(
+        Layer(draw(materials(f"m{i}", i == ip)), draw(thickness),
+              "piezo" if i == ip else draw(st.sampled_from(["electrode",
+                                                             "passive"])))
+        for i in range(n))
+    return Stack(layers=layers, area=draw(positive),
+                 rs_electrical=draw(st.sampled_from([0.0, 2.0]) | positive),
+                 boundary_bottom=draw(st.sampled_from(["free", "rigid"])),
+                 boundary_top=draw(st.sampled_from(["free", "rigid"])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(stack=stacks(),
+       thickness=st.floats(min_value=0.0, exclude_min=True,
+                           allow_infinity=False))
+def test_serialize_round_trip_contract(stack, thickness):
+    """A stack whose thicknesses came from nm in a file loads back equal;
+    any other thickness loads back equal or is refused, never changed."""
+    assert load_stack(serialize_stack(stack)) == stack
+    other = stack.with_layer_thickness(0, thickness)
+    try:
+        text = serialize_stack(other)
+    except ConfigError as exc:
+        assert "no exact nm representation" in str(exc)
+    else:
+        assert load_stack(text) == other

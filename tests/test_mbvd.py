@@ -276,6 +276,15 @@ def test_ideal_through_is_singular():
     assert "1.3e+10" in str(err.value)
 
 
+def test_s_to_y_overflow_names_its_frequency():
+    # finite S values whose products overflow a double
+    s = np.zeros((2, 2, 2), dtype=complex)
+    s[1, 0, 0] = s[1, 1, 1] = 1e200
+    data = TouchstoneData(frequencies=np.array([12e9, 13e9]), s=s, z0=50.0)
+    with pytest.raises(ConversionError, match=r"overflows at 1\.3e\+10 Hz"):
+        s_to_y(data)
+
+
 def test_s_to_y_inverts_back_to_s():
     rng = np.random.default_rng(5)
     n = 40
@@ -512,9 +521,7 @@ def realistic_device(rng):
 def test_seed_resistances_from_off_resonance_samples():
     true = params_for()
     f = np.linspace(12.0e9, 14.6e9, 201)
-    y = mbvd_admittance(true, f)
-    y[0] = 0.0      # no impedance, and no divide-by-zero warning either
-    seed = mbvd._seed_parameters(f, y)
+    seed = mbvd._seed_parameters(f, mbvd_admittance(true, f))
     assert seed.r0 == seed.rs
     assert 0.5 * (true.r0 + true.rs) < 2 * seed.r0 < 2 * (true.r0 + true.rs)
     # a lossless capacitor has no resistance to seed from
@@ -597,6 +604,16 @@ def test_fit_requires_a_conductance_peak():
         fit_mbvd(curve)
 
 
+def test_fit_rejects_a_nan_admittance_sample():
+    true, fs = draw_params(np.random.default_rng(41))
+    f = np.linspace(0.9 * fs, 1.2 * fs, 201)
+    y = mbvd_admittance(true, f)
+    y[60] = complex(math.nan, 0.0)
+    with pytest.raises(ConfigError, match="zero or not finite") as err:
+        fit_mbvd(AdmittanceCurve(frequencies=f, y=y))
+    assert f"at {f[60]:.9g} Hz" in str(err.value)
+
+
 def test_fit_curve_csv(tmp_path):
     true, fs = draw_params(np.random.default_rng(37))
     curve = synth_curve(true, 0.85 * fs, 1.25 * fs, n=101)
@@ -632,6 +649,18 @@ def test_bundled_fixture_reports_target_metrics():
     # 7 evaluations from the off-resonance seeds of r0 and rs, against 21
     # from milliohm seeds
     assert rep.n_iterations <= 12
+
+
+def test_fit_rejects_a_zero_admittance_sample():
+    # S21 = S12 = 0 leaves no transmission, so the series admittance is 0
+    lines = fixture_text().splitlines()
+    tokens = lines[100].split()
+    assert tokens[0] == "12.990000000"
+    tokens[3:7] = ["0"] * 4
+    lines[100] = " ".join(tokens)
+    curve = transmission_admittance(parse_touchstone("\n".join(lines)))
+    with pytest.raises(ConfigError, match=r"zero or not finite at 1\.299e\+10"):
+        fit_mbvd(curve, band=(12.5e9, 14.0e9))
 
 
 def test_fit_evaluates_the_circuit_once_per_point(monkeypatch):
