@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 
@@ -32,7 +33,9 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class Material:
     """Thickness-mode constants of one medium.  Every field but name is a
-    material key of a stack file, required when it has no default.
+    material key of a stack file, required when it has no default.  A
+    number that is not finite, a lossless that is not a bool or a citation
+    that is not a str raises ConfigError naming the material and the field.
 
     Args:
         name: identifier used by layer records.
@@ -59,6 +62,17 @@ class Material:
     def __post_init__(self):
         if not self.name:
             raise ConfigError("material name must be non-empty")
+        for key, field in _MATERIAL_FIELDS.items():
+            value, kind = getattr(self, key), type(field.default)
+            if kind in _KIND_WORDS:
+                if not isinstance(value, kind):
+                    raise ConfigError(
+                        f"material {self.name!r}: {key} must be a "
+                        f"{_KIND_WORDS[kind]}, got {value!r}")
+            elif not (isinstance(value, numbers.Real)
+                      and math.isfinite(value)):
+                raise ConfigError(f"material {self.name!r}: {key} must be a "
+                                  f"finite number, got {value!r}")
         if not self.density > 0:
             raise ConfigError(f"material {self.name!r}: density must be > 0")
         if not self.c33e > 0:
@@ -91,6 +105,11 @@ class Material:
     def v_d(self) -> float:
         """Lossless stiffened longitudinal velocity, m/s."""
         return math.sqrt(self.c33d / self.density)
+
+
+# a material entry's keys; a bool or str default fixes the value's type
+_MATERIAL_FIELDS = {f.name: f for f in fields(Material) if f.name != "name"}
+_KIND_WORDS = {bool: "boolean", str: "string"}
 
 
 @dataclass(frozen=True)
@@ -241,11 +260,6 @@ def _check_keys(mapping: dict, allowed, where: str):
         raise ConfigError(f"{where}: unknown keys {unknown}")
 
 
-# a material entry's keys; a bool or str default fixes the value's type
-_MATERIAL_FIELDS = {f.name: f for f in fields(Material) if f.name != "name"}
-_KIND_WORDS = {bool: "boolean", str: "string"}
-
-
 def parse_materials_table(table: dict, where: str = "materials") -> dict[str, Material]:
     """Parse a {name: fields} material table into Material records."""
     if not isinstance(table, dict) or not table:
@@ -257,13 +271,10 @@ def parse_materials_table(table: dict, where: str = "materials") -> dict[str, Ma
         values = {}
         for key, field in _MATERIAL_FIELDS.items():
             value = entry.get(key, field.default)
-            kind = type(field.default)
             if value is MISSING:
                 raise ConfigError(f"{here}: missing required key {key!r}")
-            if kind not in _KIND_WORDS:
+            if type(field.default) not in _KIND_WORDS:
                 value = _as_number(value, f"{here}.{key}")
-            elif not isinstance(value, kind):
-                raise ConfigError(f"{here}.{key} must be a {_KIND_WORDS[kind]}")
             values[key] = value
         out[str(name)] = Material(name=str(name), **values)
     return out

@@ -15,11 +15,17 @@ coefficients come from samples on a small circle in the complex plane.
 One circle call at all open-circuit roots seeds the search, fp at the
 root and fs at the nearest pole of Y; each later pass evaluates the
 circles of all open roots in one vector kernel call and takes a
-safeguarded Newton step.  A mode whose coupling lies so far below 1/Qm
-that |Y| has no minimum is flagged coupling_null and reported by its
-lossless (fs, fp) pair.  eta and Qm of every mode come from one
-strain_energy call at all the fs values.  calibrate_piezo_stiffness runs
-the same search for mode 0, without the energies.
+safeguarded Newton step.  A root closes once the Taylor model's own
+error bound, the orders it omits over the root function's slope, puts
+it within a tenth of the tolerance of a step that stays inside the
+circle: on the nominal stack every root closes on the first pass after
+the seed circles, two kernel calls in all.  A mode whose coupling lies
+so far below 1/Qm that |Y| has no minimum is flagged coupling_null and
+reported by its lossless (fs, fp) pair.  eta and Qm of every mode come
+from one strain_energy call at all the fs values.
+calibrate_piezo_stiffness runs the same search for mode 0, without the
+energies, at each trial scale of a secant search that starts from the
+stack as given.
 """
 
 from __future__ import annotations
@@ -50,6 +56,9 @@ _SHRINK = 16
 # every estimate closes (so refine_tol = 0 ends too)
 _MODEL_STEPS = 6
 _MAX_PASSES = 40
+# a model step that stays inside its circle closes its root when the
+# model's error bound puts the root within this share of the tolerance
+_CLOSE_FRACTION = 0.1
 
 # relative step at which find_modes stops refining fs and fp
 _REFINE_TOL = 1e-9
@@ -184,35 +193,44 @@ def _circle_taylor(evaluate, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     return y.reshape(x.size, points.size) @ dft
 
 
-def _root_function(coef: list, t: float, peak: bool) -> tuple[float, float]:
-    """Root function and its slope at t on a circle's Taylor model.
+def _root_function(coef: list, t: float, peak: bool,
+                   tail: tuple[float, float]) -> tuple[float, float, float]:
+    """Root function, its slope, and a bound on its model error at t on
+    a circle's Taylor model.
 
     coef[m] is Y^(m)(x) r^m / m!, so the model is Y(x + r t) = sum_m
     coef[m] t^m; Horner gives Y, dY/dt and d2Y/dt2 / 2 in one pass.  For
     a peak the function is -Re dY/dt, else Re(conj(Y) dY/dt); both rise
-    through their root.
+    through their root.  tail bounds, for |t| <= 1, the error of the
+    model's Y and dY/dt (see _taylor_tails); the third value carries it
+    into the root function.
     """
     y = yt = ytt = 0j
     for a in reversed(coef):
         ytt = ytt * t + yt
         yt = yt * t + y
         y = y * t + a
+    e0, e1 = tail
     if peak:
-        return -yt.real, -2.0 * ytt.real
+        return -yt.real, -2.0 * ytt.real, e1
     yc = y.conjugate()
-    return (yc * yt).real, abs(yt) ** 2 + 2.0 * (yc * ytt).real
+    return ((yc * yt).real, abs(yt) ** 2 + 2.0 * (yc * ytt).real,
+            e0 * abs(yt) + abs(y) * e1 + e0 * e1)
 
 
-def _model_newton(coef: list, x: float, r: float, lo: float, hi: float,
-                  peak: bool):
+def _model_newton(coef: list, tail: tuple[float, float], x: float,
+                  r: float, lo: float, hi: float, peak: bool):
     """Newton's method on the Taylor model coef of the circle of radius r
     around x, from x.
 
-    Returns the root function's value at x, and the root the model steps
+    Returns the root function's value at x, the root the model steps
     reach inside [lo, hi] narrowed by that value's sign, or None when the
-    first step leaves the bracket or meets a slope of the wrong sign.
+    first step leaves the bracket or meets a slope of the wrong sign, and
+    how far the true root can lie from that one: the model's residual
+    there plus its error bound (tail), over its slope, in Hz.  The bound
+    holds only for a root inside the circle.
     """
-    q0, dq = _root_function(coef, 0.0, peak)
+    q0, dq, err = _root_function(coef, 0.0, peak, tail)
     if q0 < 0.0:
         lo = x
     else:
@@ -226,16 +244,25 @@ def _model_newton(coef: list, x: float, r: float, lo: float, hi: float,
         if not lo <= fn <= hi or fn == fb:
             break
         tb, fb = tn, fn
-        q, dq = _root_function(coef, tb, peak)
-    return q0, fb
+        q, dq, err = _root_function(coef, tb, peak, tail)
+    return q0, fb, r * (abs(q) + err) / dq if dq > 0.0 else math.inf
 
 
-def _taylor_tails(c: np.ndarray) -> np.ndarray:
-    """True where the coefficients of order n/2 and up do not decay: a
-    pole lies near or inside the circle, which must shrink."""
+def _taylor_tails(c: np.ndarray):
+    """The coefficients of order n/2 and up, which the model omits.
+
+    Returns, per row, True where they do not decay (a pole lies near or
+    inside the circle, which must shrink), and their sums sum_m |c_m| and
+    sum_m m |c_m|: for |t| <= 1 these bound the omitted terms of Y and of
+    dY/dt, and the aliased ones, which are smaller still.
+    """
     mag = np.abs(c)
     order = _CIRCLE_POINTS // 2
-    return mag[:, order:].max(axis=1) > _TAIL_RATIO * mag[:, :order].max(axis=1)
+    omitted = mag[:, order:]
+    too_wide = omitted.max(axis=1) > _TAIL_RATIO * mag[:, :order].max(axis=1)
+    return too_wide.tolist(), list(zip(
+        omitted.sum(axis=1).tolist(),
+        (omitted @ np.arange(order, mag.shape[1])).tolist()))
 
 
 def _refine_roots(evaluate, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -257,7 +284,9 @@ def _refine_roots(evaluate, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     coefficients of order n/2 and up do not decay (_taylor_tails), a pole
     lies near or inside the circle (a resonance narrower than it): the
     circle shrinks and that pass takes no step.  An estimate closes after
-    a model step of at most rel_tol * f, or once its bracket is at most
+    a model step of at most rel_tol * f, after a model step that stays
+    inside its circle when the model's error bound (_model_newton) is at
+    most _CLOSE_FRACTION * rel_tol * f, or once its bracket is at most
     rel_tol * f wide; all close after _MAX_PASSES passes.
 
     Returns the estimates and whether each was found: one that ends next
@@ -269,13 +298,13 @@ def _refine_roots(evaluate, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     sure_lo, sure_hi = [False] * len(x), [False] * len(x)
     order = _CIRCLE_POINTS // 2
 
-    def step(b, coef, too_wide) -> bool:
+    def step(b, coef, too_wide, tail) -> bool:
         """One pass of root b; True while it stays open."""
         if too_wide:
             radius[b] /= _SHRINK
             return True
-        xb = x[b]
-        q, f = _model_newton(coef, xb, radius[b], lo[b], hi[b], peak[b])
+        xb, rb = x[b], radius[b]
+        q, f, err = _model_newton(coef, tail, xb, rb, lo[b], hi[b], peak[b])
         if q == 0.0:
             sure_lo[b] = sure_hi[b] = True
             return False
@@ -284,8 +313,9 @@ def _refine_roots(evaluate, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         else:
             hi[b], sure_hi[b] = xb, True
         if f is not None:
-            x[b] = f
-            return abs(f - xb) > rel_tol * xb
+            x[b], moved = f, abs(f - xb)
+            return moved > rel_tol * xb and not (
+                moved <= rb and err <= _CLOSE_FRACTION * rel_tol * xb)
         if q > 0.0 and not sure_lo[b]:
             x[b] = lo[b]
         elif q < 0.0 and not sure_hi[b]:
@@ -298,18 +328,18 @@ def _refine_roots(evaluate, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     given = [b for b in live if first[b] is not None]
     if given:
         c = np.array([first[b] for b in given])
-        done = {b for b, coef, too_wide in zip(
-            given, c[:, :order].tolist(), _taylor_tails(c).tolist())
-            if not step(b, coef, too_wide)}
+        done = {b for b, coef, too_wide, tail in zip(
+            given, c[:, :order].tolist(), *_taylor_tails(c))
+            if not step(b, coef, too_wide, tail)}
         live = [b for b in live if b not in done]
     for _ in range(_MAX_PASSES):
         if not live:
             break
         c = _circle_taylor(evaluate, np.array([x[b] for b in live]),
                            np.array([radius[b] for b in live]))
-        live = [b for b, coef, too_wide in zip(
-            live, c[:, :order].tolist(), _taylor_tails(c).tolist())
-            if step(b, coef, too_wide)]
+        live = [b for b, coef, too_wide, tail in zip(
+            live, c[:, :order].tolist(), *_taylor_tails(c))
+            if step(b, coef, too_wide, tail)]
     near = max(rel_tol, _REFINE_TOL)
     found = [not ((not sure_lo[b] and x[b] - lo[b] <= near * x[b])
                   or (not sure_hi[b] and hi[b] - x[b] <= near * x[b]))
@@ -417,8 +447,10 @@ def find_modes(stack: Stack, band: FrequencyGrid, max_modes: int, *,
     [band.f_min, band.f_max], numbered physically (mode_number) from the
     fundamental; the band sets only these limits, and its n_points plays
     no part.  fs and fp are refined as roots (see _refine_roots) until a
-    Newton step is at most refine_tol relative; a coupling-null mode
-    reports its lossless pair (see _search).  eta and Qm are evaluated at
+    Newton step is at most refine_tol relative, or until the Taylor
+    model's error bound puts the root within refine_tol / 10 of a step
+    inside its sampling circle; a coupling-null mode reports its lossless
+    pair (see _search).  eta and Qm are evaluated at
     fs, for all modes in one strain_energy call, whatever the backend.
     keff2 is the IEEE definition.
     """
@@ -478,14 +510,23 @@ def calibrate_piezo_stiffness(stack: Stack, target_fs: float,
     Deposited-film stiffness is the least certain constant in the table;
     matching the measured fundamental with a single scalar on c33e is the
     documented way to anchor the model.  Returns (calibrated stack, scale).
-    The scale is searched in [0.5, 2], and the band must contain mode 0
-    for every scale tried: a trial that moves mode 0 below the band
-    raises ModeSearchError.  Each trial scale costs one search of mode 0
-    (_lowest_fs), which refines fs and fp as find_modes does but skips
-    the energies and Qm.  A bracketed secant search over the scale stops at
-    the first trial whose fs lies within _REFINE_TOL / 2 of target_fs,
-    relative: half the tolerance find_modes refines fs to.
+    target_fs must be finite and > 0.  The scale is searched in [0.5, 2],
+    and the band must contain mode 0 for every scale tried: a trial that
+    moves mode 0 below the band raises ModeSearchError.  Each trial scale
+    costs one search of mode 0 (_lowest_fs), which refines fs and fp as
+    find_modes does but skips the energies and Qm.  The first trial is
+    the stack as given (scale 1), the second follows the bare-plate law
+    fs ~ sqrt(c33e), scale (target_fs / fs)^2, and later ones take secant
+    steps through (ln scale, ln fs), a step leaving [0.5, 2] clamped to
+    its end.  Once two trials bracket the target, _bracketed_secant takes
+    over; an end that cannot bring them to a bracket raises ConfigError.
+    The search stops at the first trial whose fs lies within
+    _REFINE_TOL / 2 of target_fs, relative: half the tolerance find_modes
+    refines fs to.
     """
+    if not 0 < target_fs < math.inf:
+        raise ConfigError(
+            f"target fs must be finite and > 0, got {target_fs!r} Hz")
     ip = stack.piezo_index
     base_mat = stack.layers[ip].material
 
@@ -499,14 +540,27 @@ def calibrate_piezo_stiffness(stack: Stack, target_fs: float,
         return _lowest_fs(rescaled(scale), band) - target_fs
 
     lo, hi = 0.5, 2.0
-    g_lo, g_hi = objective(lo), objective(hi)
-    if g_lo * g_hi > 0:
-        raise ConfigError(
-            f"target fs = {target_fs:.6g} Hz not reachable: scale bracket "
-            f"[{lo:g}, {hi:g}] moves mode 0 over "
-            f"[{g_lo + target_fs:.6g}, {g_hi + target_fs:.6g}] Hz")
-    scale = _bracketed_secant(objective, lo, g_lo, hi, g_hi,
-                               0.5 * _REFINE_TOL * target_fs)
+    g_tol = 0.5 * _REFINE_TOL * target_fs
+    x0, g0 = 1.0, objective(1.0)
+    if abs(g0) <= g_tol:
+        return rescaled(x0), x0
+    # the bare-plate law fs ~ sqrt(c33e), then secant steps through
+    # (ln scale, ln fs) until two trials bracket the target
+    x1 = min(max((target_fs / (g0 + target_fs)) ** 2, lo), hi)
+    g1 = objective(x1)
+    while abs(g1) > g_tol and g0 * g1 > 0:
+        l0, l1 = math.log1p(g0 / target_fs), math.log1p(g1 / target_fs)
+        x2 = min(max(x1 * math.exp(l1 * math.log(x0 / x1) / (l1 - l0)),
+                     lo), hi)
+        if x2 == x1:
+            g_lo, g_hi = ((g1, objective(hi)) if x1 == lo
+                          else (objective(lo), g1))
+            raise ConfigError(
+                f"target fs = {target_fs:.6g} Hz not reachable: scale bracket "
+                f"[{lo:g}, {hi:g}] moves mode 0 over "
+                f"[{g_lo + target_fs:.6g}, {g_hi + target_fs:.6g}] Hz")
+        x0, g0, x1, g1 = x1, g1, x2, objective(x2)
+    scale = _bracketed_secant(objective, x0, g0, x1, g1, g_tol)
     return rescaled(scale), scale
 
 

@@ -205,6 +205,22 @@ def test_simulate_failed_mode_search_writes_nothing(stack_file, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, bad", [
+    ("density: 21450.0", "density: .inf"),
+    ("e33: 2.5", "e33: .nan"),
+])
+def test_simulate_non_finite_material_is_a_usage_error(stack_file, tmp_path,
+                                                       capsys, line, bad):
+    text = stack_file.read_text()
+    assert line in text
+    stack_file.write_text(text.replace(line, bad, 1))
+    code = cli.main(["simulate", "--stack", str(stack_file), "--fmin",
+                     "3GHz", "--fmax", "15GHz", "--points", "201",
+                     "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "must be a finite number" in capsys.readouterr().err
+
+
 def test_simulate_reruns_byte_identical(stack_file, tmp_path, capsys):
     args = ["simulate", "--stack", str(stack_file), "--fmin", "3GHz",
             "--fmax", "8GHz", "--points", "301"]

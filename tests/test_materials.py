@@ -33,6 +33,19 @@ def test_material_rejects_bad_values():
                  e33=1.0, eps33s=1e-10, tan_delta=-0.1)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("density", math.inf),
+    ("e33", math.nan),
+    ("lossless", "no"),       # truthy: would drop the medium's loss
+    ("lossless", 1),          # serialize_stack text load_stack refuses
+    ("citation", None),
+])
+def test_material_checks_its_fields(nominal, key, value):
+    mat = nominal.layers[nominal.piezo_index].material
+    with pytest.raises(ConfigError, match=f"material 'scaln30': {key} "):
+        dataclasses.replace(mat, **{key: value})
+
+
 def test_stiffened_constants_match_direct_arithmetic():
     m = make_piezo(c33e=250e9, e33=2.5, eps33s=16 * EPS0)
     c33d = 250e9 + 2.5 ** 2 / (16 * EPS0)

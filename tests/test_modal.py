@@ -265,8 +265,8 @@ def test_refinement_call_budget(nominal, monkeypatch, backend):
                        backend=backend)
     assert len(modes) == 3
     assert 0 not in calls, "scalar kernel call"
-    # the seed circles and two root passes
-    assert len(calls) <= 3
+    # the seed circles and one root pass
+    assert len(calls) <= 2
 
 
 @pytest.mark.parametrize("backend", ["bvp", "mason"])
@@ -443,22 +443,31 @@ def test_calibration_call_budget(nominal, monkeypatch):
     and the search stops once fs is within half the refinement tolerance
     of the target."""
     search = modal._lowest_fs
-    calls = []
+    kernel = modal.admittance_bvp
+    calls, kernel_calls = [], []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return search(*args, **kwargs)
+
+    def counting_kernel(stack, f):
+        kernel_calls.append(1)
+        return kernel(stack, f)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("calibration called find_modes")
 
     monkeypatch.setattr(modal, "_lowest_fs", counting)
     monkeypatch.setattr(modal, "find_modes", forbidden)
+    monkeypatch.setattr(modal, "admittance_bvp", counting_kernel)
     for target in CALIBRATION_TARGETS_HZ:
         calls.clear()
+        kernel_calls.clear()
         stack, _ = calibrate_piezo_stiffness(nominal, target_fs=target,
                                              band=CAL_BAND)
-        assert len(calls) <= 8, (target, len(calls))
+        assert len(calls) <= 6, (target, len(calls))
+        if target == 4.9e9:
+            assert len(kernel_calls) <= 12, len(kernel_calls)
         fs = find_modes(stack, CAL_BAND, 1)[0].fs
         assert abs(fs - target) <= 5e-10 * target, (target, fs)
 
@@ -479,6 +488,26 @@ def test_calibration_rejects_unreachable_target(nominal):
     with pytest.raises((ConfigError, ModeSearchError)):
         calibrate_piezo_stiffness(nominal, target_fs=40e9,
                                   band=FrequencyGrid(3e9, 15e9, 601))
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf, 0.0, -4.9e9])
+def test_calibration_rejects_a_target_before_searching(nominal, monkeypatch,
+                                                       target):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("calibration searched for mode 0")
+
+    monkeypatch.setattr(modal, "_lowest_fs", forbidden)
+    with pytest.raises(ConfigError, match="finite and > 0"):
+        calibrate_piezo_stiffness(nominal, target_fs=target, band=CAL_BAND)
+
+
+def test_calibration_reaches_a_target_near_the_band_edge(nominal):
+    """Mode 0 stays in a band starting just below the target: no trial
+    moves it below 4.5 GHz."""
+    band = FrequencyGrid(4.5e9, 15e9, 601)
+    stack, _ = calibrate_piezo_stiffness(nominal, target_fs=4.6e9, band=band)
+    fs = find_modes(stack, band, 1)[0].fs
+    assert abs(fs - 4.6e9) <= 5e-10 * 4.6e9, fs
 
 
 # -- physical mode numbers ---------------------------------------------------
