@@ -27,9 +27,9 @@ from .materials import ConfigError, Stack, load_stack
 from .mbvd import (FREQUENCY_UNITS, ConversionError, TouchstoneError,
                    export_fit_curve_csv, fit_mbvd, format_fit_report,
                    parse_touchstone, transmission_admittance)
-from .modal import (ModeSearchError, calibrate_piezo_stiffness,
-                    estimate_frequency, estimate_thickness, export_modes_csv,
-                    find_modes, mode_count)
+from .modal import (ModeSearchError, _coupled_roots,
+                    calibrate_piezo_stiffness, estimate_frequency,
+                    estimate_thickness, export_modes_csv, find_modes)
 from .sweep import (HEATMAP_METRICS, BandCoverageError, SweepConfig,
                     export_sweep_csv, render_heatmap, run_sweep)
 
@@ -183,9 +183,9 @@ def cmd_sweep(args) -> int:
     band = FrequencyGrid(fmin, fmax, args.band_points)
     thick = hi * stack.t_piezo
     try:
-        mode_count(stack.with_layer_thickness(ip - 1, thick)
-                   .with_layer_thickness(ip + 1, thick), fmax)
-    except ConfigError as exc:
+        _coupled_roots(stack.with_layer_thickness(ip - 1, thick)
+                       .with_layer_thickness(ip + 1, thick), band, args.modes)
+    except (ConfigError, ModeSearchError) as exc:
         raise ConfigError(f"--range {args.range}: at the thickest cell, "
                           f"{exc}") from None
     config = {"stack": args.stack, "grid": args.grid, "range": args.range,

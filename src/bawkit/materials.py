@@ -203,7 +203,16 @@ class DerivedConstants:
 
 
 def derive_constants(stack: Stack) -> DerivedConstants:
-    """Compute engine constants for a stack.  Pure and deterministic."""
+    """Compute engine constants for a stack.  Pure and deterministic.
+
+    The stack, its layers and their materials are frozen, so the result
+    is computed once per Stack object and kept on it: later calls on the
+    same object return the same DerivedConstants.  A copy made with
+    dataclasses.replace starts without one.
+    """
+    cached = vars(stack).get("_derived")
+    if cached is not None:
+        return cached
     c_star = []
     v_star = []
     z_ac = []
@@ -226,7 +235,7 @@ def derive_constants(stack: Stack) -> DerivedConstants:
     c0 = eps_star * stack.area / piezo.thickness
     h = pm.e33 / pm.eps33s if pm.eps33s else 0.0
     f0 = v_star[ip].real / (2.0 * piezo.thickness)
-    return DerivedConstants(
+    dc = DerivedConstants(
         c_star=tuple(c_star),
         v_star=tuple(v_star),
         z_acoustic=tuple(z_ac),
@@ -236,6 +245,8 @@ def derive_constants(stack: Stack) -> DerivedConstants:
         eps_star=eps_star,
         piezo_index=ip,
     )
+    object.__setattr__(stack, "_derived", dc)
+    return dc
 
 
 def _as_number(value, where: str) -> float:

@@ -24,14 +24,13 @@ so far below 1/Qm that |Y| has no minimum is flagged coupling_null and
 reported by its lossless (fs, fp) pair.  eta and Qm of every mode come
 from one strain_energy call at all the fs values.
 calibrate_piezo_stiffness runs the same search for mode 0, without the
-energies, at each trial scale of a secant search that starts from the
-stack as given.
+energies, at each trial scale of a safeguarded secant search that starts
+at the scale mode 0's open-circuit root and weight predict.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -65,6 +64,18 @@ _REFINE_TOL = 1e-9
 # an open-circuit root whose coupling weight lies below this has fs and
 # fp closer than the refinement tolerance: it is no resonance of Y
 _INERT_WEIGHT = _REFINE_TOL
+# the walk over a band's open-circuit roots gives up after skipping this
+# many inert ones: a layer metres thick puts billions of roots in a GHz
+# band, none of them coupled, while a passive substrate 100 um thick
+# puts hundreds there, all coupled
+_MAX_INERT_ROOTS = 1000
+
+# calibration searches the c33e scale in [_SCALE_MIN, _SCALE_MAX]; the
+# open-circuit estimate of mode 0's fs is taken at scale 1 and at scale
+# e^_PREDICT_STEP, its root walked up from _NEAR_ZERO_HZ
+_SCALE_MIN, _SCALE_MAX = 0.5, 2.0
+_PREDICT_STEP = 0.01
+_NEAR_ZERO_HZ = 1.0
 
 
 class ModeSearchError(RuntimeError):
@@ -387,25 +398,49 @@ def _lossless_fs(stack: Stack, backend: str, f_oc: np.ndarray,
     return np.sqrt(x) / (2.0 * math.pi)
 
 
+def _coupled_roots(stack: Stack, band: FrequencyGrid,
+                   max_modes: int) -> list[tuple[int, float, float]]:
+    """(mode number, f, weight) of the first max_modes open-circuit roots
+    in the band (acoustic1d's Pruefer count) that couple to the
+    electrodes; a root whose coupling weight is below _INERT_WEIGHT is no
+    resonance of Y and is skipped.
+
+    Raises ModeSearchError, naming the band's root count, once
+    _MAX_INERT_ROOTS roots have been skipped, and ConfigError when that
+    count is not finite.
+    """
+    roots, inert = [], 0
+    for root in _open_circuit_modes(stack, band.f_min, band.f_max):
+        if root[2] >= _INERT_WEIGHT:
+            roots.append(root)
+            if len(roots) >= max_modes:
+                break
+            continue
+        inert += 1
+        if inert == _MAX_INERT_ROOTS:
+            count = mode_count(stack, band.f_max) - mode_count(stack,
+                                                               band.f_min)
+            raise ModeSearchError(
+                f"the band holds {count} open-circuit roots, and {inert} "
+                f"of the lowest do not couple to the electrodes")
+    return roots
+
+
 def _search(stack: Stack, band: FrequencyGrid, max_modes: int,
             backend: str, rel_tol: float):
     """(mode numbers, fs, fp, coupling-null flags) of up to max_modes
     modes whose open-circuit root lies in the band.
 
-    The lossless open-circuit roots (acoustic1d's Pruefer count) number
-    the modes; a root whose coupling weight is below _INERT_WEIGHT is no
-    resonance of Y and is skipped.  One circle call at all roots seeds
-    the search: fp starts at the root, and that circle is its first pass;
-    fs starts at the nearest pole of Y, root + r c2 / c3 from the Taylor
-    coefficients c.  A lossy fs can lie above its lossless root, so the
-    roots do not bracket fs.  A mode whose lossy fs or fp has no root in
-    its bracket is coupling-null: its coupling lies so far below 1/Qm
-    that |Y| has no minimum.  Its fs and fp are the lossless pair instead.
+    The coupled open-circuit roots (_coupled_roots) number the modes.
+    One circle call at all roots seeds the search: fp starts at the root,
+    and that circle is its first pass; fs starts at the nearest pole of
+    Y, root + r c2 / c3 from the Taylor coefficients c.  A lossy fs can
+    lie above its lossless root, so the roots do not bracket fs.  A mode
+    whose lossy fs or fp has no root in its bracket is coupling-null: its
+    coupling lies so far below 1/Qm that |Y| has no minimum.  Its fs and
+    fp are the lossless pair instead.
     """
-    roots = list(itertools.islice(
-        ((n, f, w) for n, f, w in _open_circuit_modes(stack, band.f_min,
-                                                      band.f_max)
-         if w >= _INERT_WEIGHT), max_modes))
+    roots = _coupled_roots(stack, band, max_modes)
     if not roots:
         raise ModeSearchError("no resonance found in band")
     numbers, f_oc, weight = (np.array(v) for v in zip(*roots))
@@ -503,6 +538,17 @@ def _lowest_fs(stack: Stack, band: FrequencyGrid) -> float:
     return float(fs[0])
 
 
+def _mode0_estimate(stack: Stack, f_max: float) -> float | None:
+    """f_oc sqrt(1 - w) of mode 0, from its open-circuit root f_oc and
+    coupling weight w: the fs it would have if no other mode coupled.
+    None when mode 0 lies above f_max, is inert, or has w >= 1."""
+    for number, f, w in _open_circuit_modes(stack, _NEAR_ZERO_HZ, f_max):
+        if number == 0 and _INERT_WEIGHT <= w < 1.0:
+            return f * math.sqrt(1.0 - w)
+        break
+    return None
+
+
 def calibrate_piezo_stiffness(stack: Stack, target_fs: float,
                               band: FrequencyGrid) -> tuple[Stack, float]:
     """Scale the piezo layer's c33e so mode 0's fs lands on target_fs.
@@ -510,19 +556,29 @@ def calibrate_piezo_stiffness(stack: Stack, target_fs: float,
     Deposited-film stiffness is the least certain constant in the table;
     matching the measured fundamental with a single scalar on c33e is the
     documented way to anchor the model.  Returns (calibrated stack, scale).
-    target_fs must be finite and > 0.  The scale is searched in [0.5, 2],
-    and the band must contain mode 0 for every scale tried: a trial that
-    moves mode 0 below the band raises ModeSearchError.  Each trial scale
-    costs one search of mode 0 (_lowest_fs), which refines fs and fp as
-    find_modes does but skips the energies and Qm.  The first trial is
-    the stack as given (scale 1), the second follows the bare-plate law
-    fs ~ sqrt(c33e), scale (target_fs / fs)^2, and later ones take secant
-    steps through (ln scale, ln fs), a step leaving [0.5, 2] clamped to
-    its end.  Once two trials bracket the target, _bracketed_secant takes
-    over; an end that cannot bring them to a bracket raises ConfigError.
+    target_fs must be finite and > 0.  The scale is searched in [0.5, 2].
+
+    The search runs on x = ln scale and y = ln (fs / target_fs).  Before
+    any kernel call, mode 0's open-circuit estimate (_mode0_estimate) at
+    scale 1 and at e^_PREDICT_STEP gives a slope k; the first trial is the
+    Newton step on it from scale 1, the second a Newton step with slope k
+    from the first.  Where mode 0 has no estimate or k <= 0, the first
+    trial is the stack as given and k = 1/2, the bare-plate law fs ~
+    sqrt(c33e).  Later trials take a secant step, then inverse quadratic
+    interpolation through the last three trials, kept inside [0.5, 2] and,
+    once two trials bracket the target, inside the bracket, which is
+    bisected when a step leaves it (Brent, Algorithms for Minimization
+    without Derivatives, 1973); a step covering half the way to an untried
+    end of [0.5, 2] or more lands on that end (_next_trial).  A trial at
+    an end whose fs stops short of the target raises ConfigError: no
+    scale reaches it.  Mode 0 need not lie in the band for the stack as
+    given; it must for every trial scale, or ModeSearchError is raised.
+    Each trial costs one search of mode 0 (_lowest_fs), which refines fs
+    and fp as find_modes does but skips the energies and Qm.
     The search stops at the first trial whose fs lies within
     _REFINE_TOL / 2 of target_fs, relative: half the tolerance find_modes
-    refines fs to.
+    refines fs to; when the bracket can no longer be split it returns the
+    trial nearest the target.
     """
     if not 0 < target_fs < math.inf:
         raise ConfigError(
@@ -536,57 +592,70 @@ def calibrate_piezo_stiffness(stack: Stack, target_fs: float,
         layers[ip] = replace(layers[ip], material=mat)
         return replace(stack, layers=tuple(layers))
 
-    def objective(scale: float) -> float:
-        return _lowest_fs(rescaled(scale), band) - target_fs
-
-    lo, hi = 0.5, 2.0
-    g_tol = 0.5 * _REFINE_TOL * target_fs
-    x0, g0 = 1.0, objective(1.0)
-    if abs(g0) <= g_tol:
-        return rescaled(x0), x0
-    # the bare-plate law fs ~ sqrt(c33e), then secant steps through
-    # (ln scale, ln fs) until two trials bracket the target
-    x1 = min(max((target_fs / (g0 + target_fs)) ** 2, lo), hi)
-    g1 = objective(x1)
-    while abs(g1) > g_tol and g0 * g1 > 0:
-        l0, l1 = math.log1p(g0 / target_fs), math.log1p(g1 / target_fs)
-        x2 = min(max(x1 * math.exp(l1 * math.log(x0 / x1) / (l1 - l0)),
-                     lo), hi)
-        if x2 == x1:
-            g_lo, g_hi = ((g1, objective(hi)) if x1 == lo
-                          else (objective(lo), g1))
-            raise ConfigError(
-                f"target fs = {target_fs:.6g} Hz not reachable: scale bracket "
-                f"[{lo:g}, {hi:g}] moves mode 0 over "
-                f"[{g_lo + target_fs:.6g}, {g_hi + target_fs:.6g}] Hz")
-        x0, g0, x1, g1 = x1, g1, x2, objective(x2)
-    scale = _bracketed_secant(objective, x0, g0, x1, g1, g_tol)
-    return rescaled(scale), scale
-
-
-def _bracketed_secant(g, x0: float, g0: float, x1: float, g1: float,
-                      g_tol: float) -> float:
-    """A point between x0 and x1 where |g| <= g_tol; g0, g1 differ in sign.
-
-    Regula falsi with the Pegasus weighting (Dowell and Jarratt, BIT 12,
-    1972): each step is the secant through the two bracket ends.  When
-    the new point lands on the same side as the last one, the far end's
-    g is scaled by g1 / (g1 + g2), so that end cannot stall.  Returns the
-    first point where |g| <= g_tol, or the last point tried once the
-    secant no longer falls strictly inside the bracket.
-    """
-    for x, gx in ((x0, g0), (x1, g1)):
-        if abs(gx) <= g_tol:
-            return x
+    lo, hi = math.log(_SCALE_MIN), math.log(_SCALE_MAX)
+    x, slope = 0.0, 0.5
+    e0 = _mode0_estimate(stack, band.f_max)
+    e1 = None if e0 is None else _mode0_estimate(
+        rescaled(math.exp(_PREDICT_STEP)), band.f_max)
+    if e1 is not None and e1 > e0:
+        slope = math.log(e1 / e0) / _PREDICT_STEP
+        x = min(max(math.log(target_fs / e0) / slope, lo), hi)
+    trials = []
     while True:
-        x2 = x1 - g1 * (x1 - x0) / (g1 - g0)
-        if not min(x0, x1) < x2 < max(x0, x1):
-            return x1
-        g2 = g(x2)
-        if abs(g2) <= g_tol:
-            return x2
-        if g2 * g1 < 0:
-            x0, g0 = x1, g1
-        else:
-            g0 *= g1 / (g1 + g2)
-        x1, g1 = x2, g2
+        scale = math.exp(x)
+        trial = rescaled(scale)
+        fs = _lowest_fs(trial, band)
+        if abs(fs - target_fs) <= 0.5 * _REFINE_TOL * target_fs:
+            return trial, scale
+        y = math.log(fs / target_fs)
+        if (x == lo and y > 0.0) or (x == hi and y < 0.0):
+            raise ConfigError(
+                f"target fs = {target_fs:.6g} Hz not reachable: scale "
+                f"{scale:g}, the end of the bracket [{_SCALE_MIN:g}, "
+                f"{_SCALE_MAX:g}] nearest it, puts mode 0 at {fs:.6g} Hz")
+        trials.append((x, y))
+        x = _next_trial(trials, slope, lo, hi)
+        if x is None:
+            scale = math.exp(min(trials, key=lambda t: abs(t[1]))[0])
+            return rescaled(scale), scale
+
+
+def _next_trial(trials: list, slope: float, lo: float,
+                hi: float) -> float | None:
+    """The next x of a root search of y(x), rising, on [lo, hi].
+
+    trials holds the (x, y) pairs tried so far, none at y = 0.  The step
+    is Newton's with the given slope after one trial, the secant through
+    the last two after two, and inverse quadratic interpolation through
+    the last three after that (the secant where two of their y values
+    coincide).  It must fall inside (a, b), a the highest x with y < 0
+    and b the lowest with y > 0, each an end of [lo, hi] while no trial
+    gives it.  A step that covers half the way to an untried end or more
+    lands on that end, whose trial then either brackets the root or
+    shows that [lo, hi] holds none; any other step outside (a, b) is
+    replaced by the midpoint.  Returns None once the midpoint of a
+    bracket is one of its ends.
+    """
+    below = [x for x, y in trials if y < 0.0]
+    above = [x for x, y in trials if y > 0.0]
+    a, b = max(below, default=lo), min(above, default=hi)
+    x2, y2 = trials[-1]
+    x = math.nan    # a step that cannot be taken: the midpoint
+    if len(trials) == 1:
+        x = x2 - y2 / slope
+    elif len(trials) > 2 and len({y for _, y in trials[-3:]}) == 3:
+        (x0, y0), (x1, y1) = trials[-3:-1]
+        x = (x0 * y1 * y2 / ((y0 - y1) * (y0 - y2))
+             + x1 * y0 * y2 / ((y1 - y0) * (y1 - y2))
+             + x2 * y0 * y1 / ((y2 - y0) * (y2 - y1)))
+    elif trials[-2][1] != y2:
+        x1, y1 = trials[-2]
+        x = x2 - y2 * (x2 - x1) / (y2 - y1)
+    if not above and x >= 0.5 * (a + hi):
+        return hi
+    if not below and x <= 0.5 * (lo + b):
+        return lo
+    if a < x < b:
+        return x
+    mid = 0.5 * (a + b)
+    return mid if a < mid < b else None

@@ -360,6 +360,22 @@ def test_sweep_layers_too_thick_for_doubles(stack_file, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sweep_range_with_an_inert_thickest_cell(stack_file, tmp_path,
+                                                 capsys):
+    """250 m electrodes put billions of uncoupled roots in the band: the
+    thickest cell is a configuration error that names --range and the
+    root count, raised before any cell is solved."""
+    out = tmp_path / "x"
+    code = cli.main(["sweep", "--stack", str(stack_file), "--range",
+                     "0.2:1e9", "--grid", "2", "--band", "1.5:34",
+                     "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--range" in err and "open-circuit roots" in err
+    assert not out.exists()
+
+
 def test_sweep_uncovered_band_exits_4(stack_file, tmp_path, capsys):
     code = cli.main(["sweep", "--stack", str(stack_file), "--grid", "2",
                      "--modes", "3", "--band", "40:45",

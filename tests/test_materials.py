@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bawkit import ConfigError, Layer, Material, Stack, load_stack
+from bawkit import (ConfigError, FrequencyGrid, Layer, Material, Stack,
+                    find_modes, load_stack)
 from bawkit.materials import (EPS0, default_materials, derive_constants,
                               nominal_stack, serialize_stack)
 
@@ -138,6 +140,30 @@ def test_derive_constants_is_pure(nominal):
     assert a.c_star == b.c_star
     assert a.v_star == b.v_star
     assert a.eps_star == b.eps_star
+
+
+def test_derive_constants_once_per_stack(nominal, monkeypatch):
+    """The constants are computed once per Stack object: a find_modes call
+    on a fresh stack builds them once, a copy builds its own."""
+    module = sys.modules[derive_constants.__module__]
+    built = []
+    original = module.DerivedConstants
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "DerivedConstants", counting)
+    stack = dataclasses.replace(nominal)
+    find_modes(stack, FrequencyGrid(1.5e9, 34e9, 2), 3)
+    assert len(built) == 1
+    a = derive_constants(stack)
+    assert derive_constants(stack) is a and len(built) == 1
+    copy = dataclasses.replace(stack)
+    assert derive_constants(copy) is not a
+    assert derive_constants(copy) == a and len(built) == 2
+    thicker = stack.with_layer_thickness(stack.piezo_index, 300e-9)
+    assert derive_constants(thicker).c0 != a.c0
 
 
 # -- load_stack / serialize_stack --------------------------------------------

@@ -438,38 +438,70 @@ def test_calibration_hits_target(calibrated):
 CALIBRATION_TARGETS_HZ = [4.5e9 + 0.1e9 * k for k in range(9)]
 
 
-def test_calibration_call_budget(nominal, monkeypatch):
-    """Each trial scale costs one fs-only search and no find_modes call,
-    and the search stops once fs is within half the refinement tolerance
-    of the target."""
-    search = modal._lowest_fs
-    kernel = modal.admittance_bvp
-    calls, kernel_calls = [], []
+def counted(monkeypatch, name):
+    """Replace modal's function name by one that records each call."""
+    original = getattr(modal, name)
+    calls = []
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return search(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    def counting_kernel(stack, f):
-        kernel_calls.append(1)
-        return kernel(stack, f)
+    monkeypatch.setattr(modal, name, counting)
+    return calls
+
+
+def test_calibration_call_budget(nominal, monkeypatch):
+    """Each trial scale costs one fs-only search and no find_modes call,
+    the search starts from two open-circuit predictions, and it stops once
+    fs is within half the refinement tolerance of the target."""
+    calls = counted(monkeypatch, "_lowest_fs")
+    kernel_calls = counted(monkeypatch, "admittance_bvp")
+    predictions = counted(monkeypatch, "_mode0_estimate")
 
     def forbidden(*args, **kwargs):
         raise AssertionError("calibration called find_modes")
 
-    monkeypatch.setattr(modal, "_lowest_fs", counting)
     monkeypatch.setattr(modal, "find_modes", forbidden)
-    monkeypatch.setattr(modal, "admittance_bvp", counting_kernel)
     for target in CALIBRATION_TARGETS_HZ:
         calls.clear()
         kernel_calls.clear()
+        predictions.clear()
         stack, _ = calibrate_piezo_stiffness(nominal, target_fs=target,
                                              band=CAL_BAND)
-        assert len(calls) <= 6, (target, len(calls))
+        assert len(calls) <= 5, (target, len(calls))
+        assert len(predictions) <= 2, (target, len(predictions))
         if target == 4.9e9:
-            assert len(kernel_calls) <= 12, len(kernel_calls)
+            assert (len(calls), len(kernel_calls)) == (4, 8)
         fs = find_modes(stack, CAL_BAND, 1)[0].fs
         assert abs(fs - target) <= 5e-10 * target, (target, fs)
+
+
+def test_calibration_without_a_prediction_starts_from_the_stack(
+        nominal, monkeypatch):
+    """With no open-circuit estimate of mode 0, the first trial is the
+    stack as given and the second follows the bare-plate law fs ~
+    sqrt(c33e)."""
+    monkeypatch.setattr(modal, "_mode0_estimate", lambda stack, f_max: None)
+    search = modal._lowest_fs
+    c33e = nominal.layers[nominal.piezo_index].material.c33e
+    trials = []
+
+    def recording(stack, band):
+        fs = search(stack, band)
+        trials.append((stack.layers[stack.piezo_index].material.c33e / c33e,
+                       fs))
+        return fs
+
+    monkeypatch.setattr(modal, "_lowest_fs", recording)
+    stack, _ = calibrate_piezo_stiffness(nominal, target_fs=4.9e9,
+                                         band=CAL_BAND)
+    assert trials[0][0] == 1.0
+    assert trials[1][0] == pytest.approx((4.9e9 / trials[0][1]) ** 2,
+                                         rel=1e-12)
+    assert len(trials) <= 6, trials
+    fs = find_modes(stack, CAL_BAND, 1)[0].fs
+    assert abs(fs - 4.9e9) <= 5e-10 * 4.9e9, fs
 
 
 def test_calibration_scales_only_piezo_stiffness(nominal, calibrated):
@@ -484,10 +516,29 @@ def test_calibration_scales_only_piezo_stiffness(nominal, calibrated):
             assert lay.material.c33e == ref.material.c33e
 
 
-def test_calibration_rejects_unreachable_target(nominal):
-    with pytest.raises((ConfigError, ModeSearchError)):
+def test_calibration_rejects_unreachable_target(nominal, monkeypatch):
+    """A target beyond every scale in [0.5, 2] costs at most two searches,
+    and the error quotes an fs that a search produced."""
+    calls = counted(monkeypatch, "_lowest_fs")
+    with pytest.raises(ConfigError, match="^target fs = 4e.10 Hz not "
+                       "reachable: scale 2, .* puts mode 0 at 5.8"):
         calibrate_piezo_stiffness(nominal, target_fs=40e9,
                                   band=FrequencyGrid(3e9, 15e9, 601))
+    assert len(calls) <= 2, len(calls)
+
+
+def test_calibration_tries_an_end_within_twice_its_step(nominal,
+                                                       monkeypatch):
+    """Pt 50 / AlSiCu 350 nm needs a scale just above 2 for 4.9 GHz: the
+    first trial (scale 1.71) falls short, and the Newton step from it
+    covers more than half the way to 2, so the second trial is 2 itself,
+    which shows the target out of reach."""
+    stack = (nominal.with_layer_thickness(0, 50e-9)
+             .with_layer_thickness(2, 350e-9))
+    calls = counted(monkeypatch, "_lowest_fs")
+    with pytest.raises(ConfigError, match="not reachable: scale 2,"):
+        calibrate_piezo_stiffness(stack, target_fs=4.9e9, band=CAL_BAND)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("target", [math.nan, math.inf, 0.0, -4.9e9])
@@ -508,6 +559,18 @@ def test_calibration_reaches_a_target_near_the_band_edge(nominal):
     stack, _ = calibrate_piezo_stiffness(nominal, target_fs=4.6e9, band=band)
     fs = find_modes(stack, band, 1)[0].fs
     assert abs(fs - 4.6e9) <= 5e-10 * 4.6e9, fs
+
+
+def test_calibration_needs_mode_0_in_band_only_at_its_trials(nominal):
+    """The nominal stack puts mode 0 at 5.04 GHz, below a 5.6-15 GHz band;
+    the search starts at the scale the open-circuit count predicts, where
+    mode 0 lies in the band."""
+    band = FrequencyGrid(5.6e9, 15e9, 601)
+    stack, scale = calibrate_piezo_stiffness(nominal, target_fs=5.7e9,
+                                             band=band)
+    assert 0.5 < scale < 2.0
+    fs = find_modes(stack, band, 1)[0].fs
+    assert abs(fs - 5.7e9) <= 5e-10 * 5.7e9, fs
 
 
 # -- physical mode numbers ---------------------------------------------------
@@ -661,3 +724,28 @@ def test_mode_count_is_finite_or_config_error(nominal):
         mode_count(huge, 34e9)
     with pytest.raises(ConfigError, match="not finite"):
         find_modes(huge, FrequencyGrid(1.5e9, 34e9, 2), 3)
+
+
+def test_inert_band_raises_instead_of_walking_it(nominal):
+    """A 250 m top layer puts billions of open-circuit roots in the band,
+    none of them coupled: the walk stops after _MAX_INERT_ROOTS of them
+    and names the count, instead of walking them all."""
+    stack = nominal.with_layer_thickness(2, 250.0)
+    band = FrequencyGrid(1.5e9, 34e9, 2201)
+    with pytest.raises(ModeSearchError, match=r"holds \d{10} open-circuit "
+                       r"roots, and 1000 of the lowest"):
+        find_modes(stack, band, 3)
+
+
+@pytest.mark.parametrize("thickness", [10e-6, 100e-6])
+def test_passive_substrate_solves(nominal, thickness):
+    """A silicon substrate under the nominal stack puts tens to hundreds
+    of coupled roots in the band; its lowest modes still solve."""
+    si = make_metal(name="si", density=2330.0, c33e=165.7e9, q_mech=5000.0)
+    stack = Stack(layers=(Layer(si, thickness, "passive"),) + nominal.layers,
+                  area=nominal.area)
+    band = FrequencyGrid(1.5e9, 34e9, 2201)
+    modes = find_modes(stack, band, 3)
+    numbers = [m.mode_number for m in modes]
+    assert numbers == list(range(numbers[0], numbers[0] + 3))
+    assert all(m.fp > m.fs > 1.5e9 for m in modes)
