@@ -15,6 +15,7 @@ bit-identical for any worker count.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -213,15 +214,23 @@ def export_sweep_csv(result: SweepResult, path) -> None:
               "eta,qm,fom,fom_norm,ok", cols, blank)
 
 
-def _ramp_color(t: float) -> str:
-    """Hex color at position t in [0, 1] along the 3-stop ramp."""
-    t = min(max(t, 0.0), 1.0)
-    if t <= 0.5:
-        lo, hi, u = _RAMP_STOPS[0], _RAMP_STOPS[1], 2.0 * t
-    else:
-        lo, hi, u = _RAMP_STOPS[1], _RAMP_STOPS[2], 2.0 * t - 1.0
-    rgb = (round(a + (b - a) * u) for a, b in zip(lo, hi))
-    return "#{:02x}{:02x}{:02x}".format(*rgb)
+def _ramp_colors(t) -> list[str]:
+    """Hex colors at the positions t, clipped to [0, 1], along the 3-stop
+    ramp.  Channels round half to even, as Python's round does."""
+    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+    upper = t > 0.5
+    stops = np.array(_RAMP_STOPS)
+    i = upper.astype(int)
+    lo, hi = stops[i], stops[i + 1]
+    u = np.where(upper, 2.0 * t - 1.0, 2.0 * t)
+    rgb = np.round(lo + (hi - lo) * u[:, None]).astype(int)
+    return ["#{:02x}{:02x}{:02x}".format(*c) for c in rgb.tolist()]
+
+
+@functools.cache
+def _legend_fills() -> tuple[str, ...]:
+    """The 64 legend steps' colors, from t = 1 at the top to t = 0."""
+    return tuple(_ramp_colors((63 - np.arange(64)) / 63))
 
 
 def render_heatmap(result: SweepResult, metric: str, mode: int, path) -> None:
@@ -246,13 +255,11 @@ def render_heatmap(result: SweepResult, metric: str, mode: int, path) -> None:
     if vals.size == 0:
         raise ConfigError("every cell is masked; nothing to render")
     vmin, vmax = float(np.min(vals)), float(np.max(vals))
-
-    def t_of(v: float) -> float:
-        if v >= vmax:
-            return 1.0
-        if vmax == vmin:
-            return 1.0
-        return min((v - vmin) / (vmax - vmin), 1.0 - 1.0 / 64.0)
+    t = np.ones(plane.shape)
+    if vmax != vmin:
+        t[ok] = np.where(vals >= vmax, 1.0, np.minimum(
+            (vals - vmin) / (vmax - vmin), 1.0 - 1.0 / 64.0))
+    fills = np.reshape(_ramp_colors(t.ravel()), plane.shape)
 
     nb = result.bottom_thicknesses.size
     nt = result.top_thicknesses.size
@@ -285,7 +292,7 @@ def render_heatmap(result: SweepResult, metric: str, mode: int, path) -> None:
             if result.mask[j, i]:
                 fill = "url(#hatch)"
             else:
-                fill = _ramp_color(t_of(float(plane[j, i])))
+                fill = fills[j, i]
             out.append(f'<rect x="{x}" y="{y}" width="{cell}" '
                        f'height="{cell}" fill="{fill}"/>')
 
@@ -311,13 +318,11 @@ def render_heatmap(result: SweepResult, metric: str, mode: int, path) -> None:
     # legend: 64-step vertical ramp, max at the top
     lx = m_left + nt * cell + 18
     lh = nb * cell
-    steps = 64
-    for s in range(steps):
-        t = (steps - 1 - s) / (steps - 1)
+    steps = len(_legend_fills())
+    for s, fill in enumerate(_legend_fills()):
         y0 = m_top + s * lh / steps
         out.append(f'<rect x="{lx}" y="{y0:.2f}" width="14" '
-                   f'height="{lh / steps + 0.5:.2f}" '
-                   f'fill="{_ramp_color(t)}"/>')
+                   f'height="{lh / steps + 0.5:.2f}" fill="{fill}"/>')
     out.append(f'<text x="{lx + 18}" y="{m_top + 8}" {ax_font}>'
                f'{vmax:.3g}</text>')
     out.append(f'<text x="{lx + 18}" y="{m_top + lh}" {ax_font}>'

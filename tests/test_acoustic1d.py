@@ -14,7 +14,8 @@ from bawkit import (ConfigError, FrequencyGrid, PhysicsError,
                     SingularFrequencyError, admittance_bvp, admittance_mason,
                     export_spectrum_csv, field_profile, spectrum,
                     strain_energy)
-from bawkit.acoustic1d import AdmittanceCurve, _bvp_solve, _wave_amplitudes
+from bawkit.acoustic1d import (AdmittanceCurve, _bvp_solve, _cos_sin,
+                               _half_angle_cos_sin, _wave_amplitudes)
 from bawkit.materials import Layer, Stack, derive_constants
 from bawkit.mbvd import (MbvdParams, export_fit_curve_csv, mbvd_admittance,
                          report)
@@ -358,6 +359,65 @@ def test_backend_agreement_on_grid(nominal):
     yb = spectrum(nominal, grid, backend="bvp").y
     ym = spectrum(nominal, grid, backend="mason").y
     assert np.max(np.abs(yb - ym) / np.abs(ym)) < 1e-8
+
+
+# -- Mason's layer phases ----------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def lossy_phases(rng, n):
+    """Complex phases a + jb with |a| up to 1e3 rad and |b| up to 700, each
+    part spread over several decades."""
+    a = rng.uniform(-1e3, 1e3, n) * 10.0 ** rng.uniform(-6, 0, n)
+    b = rng.uniform(-700, 700, n) * 10.0 ** rng.uniform(-8, 0, n)
+    return a + 1j * b
+
+
+def test_layer_cos_sin_match_complex_cos_sin():
+    """cos and sin of a + jb from cos a, sin a, cosh b and sinh b agree
+    with numpy's complex cos and sin to 8 ulp in each part (2 here; the
+    rest is room for other libm and SIMD builds)."""
+    th = lossy_phases(np.random.default_rng(21), 20000)
+    cos_t, sin_t = _cos_sin(th)
+    for got, want in ((cos_t, np.cos(th)), (sin_t, np.sin(th))):
+        for part in ("real", "imag"):
+            g, w = getattr(got, part), getattr(want, part)
+            assert np.all(np.abs(g - w) <= 8 * EPS * np.abs(w))
+
+
+def test_piezo_half_angle_forms():
+    """The piezo's cos, sin and 1 - cos from the half angle agree with the
+    full-angle forms to 16 ulp of cosh b, their scale (6 here)."""
+    th = lossy_phases(np.random.default_rng(22), 20000)
+    scale = 16 * EPS * np.cosh(th.imag)
+    for got, want in zip(_half_angle_cos_sin(th),
+                         (np.cos(th), np.sin(th), 2.0 * np.sin(0.5 * th) ** 2)):
+        assert np.all(np.abs(got - want) <= scale)
+
+
+def test_mason_solves_thick_electrodes(nominal):
+    """0.08 m electrodes attenuate by 763 nepers over the stack at 1.5 GHz,
+    469 of them in the Pt layer: past the BVP's range today, but inside
+    Mason's, which rescales after each layer."""
+    ip = nominal.piezo_index
+    thick = (nominal.with_layer_thickness(ip - 1, 0.08)
+             .with_layer_thickness(ip + 1, 0.08))
+    y = admittance_mason(thick, np.array([1.2e9, 1.5e9]))
+    assert np.all(np.isfinite(y)) and np.all(y.real > 0)
+
+
+def test_mason_passive_on_random_stacks():
+    """Re(Y) >= -1e-12 |Y| at real frequencies and at complex ones below
+    the real axis, where s = j 2 pi f has Re(s) > 0 and a passive
+    admittance keeps Re(Y) >= 0."""
+    rng = np.random.default_rng(23)
+    f = np.linspace(0.5e9, 40e9, 2001)
+    for _ in range(20):
+        stack = random_stack(rng)
+        for rel in (0.0, 1e-6, 1e-3, 1e-2):
+            y = admittance_mason(stack, f * (1 - 1j * rel) if rel else f)
+            assert np.all(y.real >= -1e-12 * np.abs(y))
 
 
 def test_admittance_curve_validation():

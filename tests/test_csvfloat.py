@@ -103,3 +103,104 @@ def test_matches_percent_format_on_random_bits():
     want = "".join(",".join("%.17g" % v for v in row) + "\n"
                    for row in cols.tolist()).encode()
     assert format_rows(cols) == want
+
+
+# -- the per-column slot layout ------------------------------------------------
+# Each column gets only the byte slots some value in it uses, so a single
+# value that needs a slot must bring it in, and a column without fallback
+# values can be narrower than their text.
+
+def by_rows(cols, blank=None):
+    """The reference for a whole table: "%.17g" fields, "," and "\\n"."""
+    cols = np.asarray(cols, dtype=float)
+    blank = np.zeros(cols.shape, bool) if blank is None else blank
+    return "".join(",".join("" if b else "%.17g" % v
+                            for v, b in zip(row, brow)) + "\n"
+                   for row, brow in zip(cols.tolist(),
+                                        blank.tolist())).encode()
+
+
+def check_rows(cols, blank=None):
+    cols = np.asarray(cols, dtype=float)
+    assert format_rows(cols, blank) == by_rows(cols, blank)
+
+
+def spectrum_like(n=40, seed=3):
+    """freq_hz, re_y_s, im_y_s columns like a written spectrum: no signs
+    in the first two, fixed notation in the first, 17 digits throughout."""
+    rng = np.random.default_rng(seed)
+    f = np.linspace(0.5e9, 40e9, n)
+    re = rng.uniform(1e-3, 9e-3, n)
+    im = rng.uniform(-9e-2, 9e-2, n)
+    return np.column_stack((f, re, im))
+
+
+@pytest.mark.parametrize("col", [0, 1, 2])
+def test_one_negative_value_brings_the_sign_slot(col):
+    cols = np.abs(spectrum_like())
+    cols[7, col] *= -1
+    check_rows(cols)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_one_value_below_one_brings_its_lead(depth):
+    """0.x, 0.0x, 0.00x and 0.000x in a column of values >= 1."""
+    cols = spectrum_like()
+    cols[:, 1] += 1.0
+    cols[5, 1] = 0.123456789 * 10.0 ** (1 - depth)
+    check_rows(cols)
+
+
+@pytest.mark.parametrize("value", [1.2345678901234567e-123, 9.87e123,
+                                   -5.5e-100, 1e100])
+def test_one_three_digit_exponent(value):
+    """A column with two-digit exponents and one three-digit one."""
+    cols = spectrum_like()
+    cols[:, 1] *= 1e-5
+    cols[11, 1] = value
+    check_rows(cols)
+
+
+@pytest.mark.parametrize("before", range(1, 17))
+def test_one_point_position(before):
+    """Integers, which take no point, and one value whose point follows
+    its digit `before`."""
+    cols = np.tile(np.arange(20.0)[:, None], (1, 2))
+    cols[13, 1] = float("12345678901234567"[:before] + ".5")
+    check_rows(cols)
+
+
+@pytest.mark.parametrize("value", [
+    math.nan, math.inf, -math.inf, 1e16,
+    # an exact tie at the 17th digit and the double next to it
+    1000000000000000.25, math.nextafter(1000000000000000.25, math.inf),
+    # 24 bytes, the longest "%.17g" text: a fallback value, then one the
+    # fast path formats
+    -math.nextafter(1e-300, 0.0), -2.2250738585072014e-308])
+@pytest.mark.parametrize("col", [0, 1])
+def test_fallback_value_in_a_narrow_column(value, col):
+    """Python's own text of a value the fast path leaves out still fits
+    in a column whose other values need far fewer slots."""
+    cols = np.tile(np.arange(6.0)[:, None], (1, 2))
+    cols[2, col] = value
+    check_rows(cols)
+    cols = spectrum_like(n=12)
+    cols[4, col] = value
+    check_rows(cols)
+
+
+def test_all_blank_call():
+    """Every field blanked, as in the masked cells of a sweep: rows of
+    separators only."""
+    cols = spectrum_like(n=5)
+    blank = np.ones(cols.shape, bool)
+    assert format_rows(cols, blank) == b",,\n" * 5
+    check_rows(cols, blank)
+
+
+def test_blank_columns_beside_values():
+    cols = spectrum_like(n=9)
+    blank = np.zeros(cols.shape, bool)
+    blank[:, 1] = True
+    blank[4] = True
+    check_rows(cols, blank)

@@ -8,9 +8,9 @@ import pytest
 
 from bawkit import FrequencyGrid, find_modes, mode_count, sweep
 from bawkit.materials import ConfigError
-from bawkit.sweep import (HEATMAP_METRICS, BandCoverageError, SweepConfig,
-                          SweepResult, export_sweep_csv, render_heatmap,
-                          run_sweep)
+from bawkit.sweep import (_RAMP_STOPS, HEATMAP_METRICS, BandCoverageError,
+                          SweepConfig, SweepResult, _ramp_colors,
+                          export_sweep_csv, render_heatmap, run_sweep)
 
 WIDE_BAND = FrequencyGrid(1.5e9, 11e9, 951)
 
@@ -262,6 +262,26 @@ def cell_fills(svg_text):
         if 'width="18" height="18"' in chunk:
             out.append(chunk.split('fill="')[1].split('"')[0])
     return out
+
+
+def ramp_color(t):
+    """One ramp color in Python floats: the reference for _ramp_colors."""
+    t = min(max(t, 0.0), 1.0)
+    if t <= 0.5:
+        lo, hi, u = _RAMP_STOPS[0], _RAMP_STOPS[1], 2.0 * t
+    else:
+        lo, hi, u = _RAMP_STOPS[1], _RAMP_STOPS[2], 2.0 * t - 1.0
+    return "#{:02x}{:02x}{:02x}".format(
+        *(round(a + (b - a) * u) for a, b in zip(lo, hi)))
+
+
+def test_ramp_colors_match_scalar_ramp():
+    """Every t = k/512, where channels land on exact halves, the 64
+    legend steps, random t and t outside [0, 1]."""
+    t = np.concatenate((np.arange(513) / 512, (63 - np.arange(64)) / 63,
+                        np.random.default_rng(9).random(2000),
+                        [-0.5, -0.0, 1.5]))
+    assert _ramp_colors(t) == [ramp_color(v) for v in t.tolist()]
 
 
 def test_heatmap_extremes_and_mask(tmp_path):
