@@ -184,7 +184,8 @@ def cmd_sweep(args) -> int:
     thick = hi * stack.t_piezo
     try:
         _coupled_roots(stack.with_layer_thickness(ip - 1, thick)
-                       .with_layer_thickness(ip + 1, thick), band, args.modes)
+                       .with_layer_thickness(ip + 1, thick), fmin, fmax,
+                       args.modes)
     except (ConfigError, ModeSearchError) as exc:
         raise ConfigError(f"--range {args.range}: at the thickest cell, "
                           f"{exc}") from None

@@ -124,9 +124,10 @@ class Layer:
         if self.role not in LAYER_ROLES:
             raise ConfigError(
                 f"layer role must be one of {LAYER_ROLES}, got {self.role!r}")
-        if not self.thickness > 0:
+        if not 0 < self.thickness < math.inf:
             raise ConfigError(
-                f"layer {self.material.name!r}: thickness must be > 0")
+                f"layer {self.material.name!r}: thickness must be finite "
+                f"and > 0, got {self.thickness!r}")
         # C0 needs a permittivity, with or without coupling.  The e33 != 0
         # requirement on piezo layers is enforced at config load; in-memory
         # stacks may zero the coupling for limit checks.
@@ -153,10 +154,12 @@ class Stack:
         if n_piezo != 1:
             raise ConfigError(
                 f"stack must contain exactly one piezo layer, got {n_piezo}")
-        if not self.area > 0:
-            raise ConfigError("stack area must be > 0")
-        if self.rs_electrical < 0:
-            raise ConfigError("rs_ohm must be >= 0")
+        if not 0 < self.area < math.inf:
+            raise ConfigError(
+                f"area_m2 must be finite and > 0, got {self.area!r}")
+        if not 0 <= self.rs_electrical < math.inf:
+            raise ConfigError(
+                f"rs_ohm must be finite and >= 0, got {self.rs_electrical!r}")
         for side, kind in (("bottom", self.boundary_bottom),
                            ("top", self.boundary_top)):
             if kind not in BOUNDARY_KINDS:
@@ -313,8 +316,9 @@ def load_stack(text: str) -> Stack:
         area = _as_number(doc["area_m2"], "area_m2")
     else:
         d_um = _as_number(doc["diameter_um"], "diameter_um")
-        if not d_um > 0:
-            raise ConfigError("diameter_um must be > 0")
+        if not 0 < d_um < math.inf:
+            raise ConfigError(
+                f"diameter_um must be finite and > 0, got {d_um!r}")
         area = math.pi * (d_um * 1e-6 / 2.0) ** 2
 
     rs = _as_number(doc.get("rs_ohm", 0.0), "rs_ohm")
@@ -349,8 +353,9 @@ def load_stack(text: str) -> Stack:
                 f"{here}: material {mat_name!r} is not defined "
                 f"(have {sorted(materials)})")
         t_nm = _as_number(entry["thickness_nm"], f"{here}.thickness_nm")
-        if not t_nm > 0:
-            raise ConfigError(f"{here}.thickness_nm must be > 0")
+        if not 0 < t_nm < math.inf:
+            raise ConfigError(
+                f"{here}.thickness_nm must be finite and > 0, got {t_nm!r}")
         role = entry["role"]
         mat = materials[mat_name]
         if role == "piezo" and mat.e33 == 0.0:

@@ -23,9 +23,10 @@ the seed circles, two kernel calls in all.  A mode whose coupling lies
 so far below 1/Qm that |Y| has no minimum is flagged coupling_null and
 reported by its lossless (fs, fp) pair.  eta and Qm of every mode come
 from one strain_energy call at all the fs values.
-calibrate_piezo_stiffness runs the same search for mode 0, without the
-energies, at each trial scale of a safeguarded secant search that starts
-at the scale mode 0's open-circuit root and weight predict.
+calibrate_piezo_stiffness runs the same search for mode 0, the first
+open-circuit root counted up from 0 Hz (the band's bottom plays no part),
+without the energies, at each trial scale of a safeguarded secant search
+that starts at the scale mode 0's open-circuit root and weight predict.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ _MAX_INERT_ROOTS = 1000
 
 # calibration searches the c33e scale in [_SCALE_MIN, _SCALE_MAX]; the
 # open-circuit estimate of mode 0's fs is taken at scale 1 and at scale
-# e^_PREDICT_STEP, its root walked up from _NEAR_ZERO_HZ
+# e^_PREDICT_STEP; mode 0's root is walked up from _NEAR_ZERO_HZ
 _SCALE_MIN, _SCALE_MAX = 0.5, 2.0
 _PREDICT_STEP = 0.01
 _NEAR_ZERO_HZ = 1.0
@@ -398,10 +399,10 @@ def _lossless_fs(stack: Stack, backend: str, f_oc: np.ndarray,
     return np.sqrt(x) / (2.0 * math.pi)
 
 
-def _coupled_roots(stack: Stack, band: FrequencyGrid,
+def _coupled_roots(stack: Stack, f_min: float, f_max: float,
                    max_modes: int) -> list[tuple[int, float, float]]:
     """(mode number, f, weight) of the first max_modes open-circuit roots
-    in the band (acoustic1d's Pruefer count) that couple to the
+    in [f_min, f_max] (acoustic1d's Pruefer count) that couple to the
     electrodes; a root whose coupling weight is below _INERT_WEIGHT is no
     resonance of Y and is skipped.
 
@@ -410,7 +411,7 @@ def _coupled_roots(stack: Stack, band: FrequencyGrid,
     count is not finite.
     """
     roots, inert = [], 0
-    for root in _open_circuit_modes(stack, band.f_min, band.f_max):
+    for root in _open_circuit_modes(stack, f_min, f_max):
         if root[2] >= _INERT_WEIGHT:
             roots.append(root)
             if len(roots) >= max_modes:
@@ -418,20 +419,18 @@ def _coupled_roots(stack: Stack, band: FrequencyGrid,
             continue
         inert += 1
         if inert == _MAX_INERT_ROOTS:
-            count = mode_count(stack, band.f_max) - mode_count(stack,
-                                                               band.f_min)
+            count = mode_count(stack, f_max) - mode_count(stack, f_min)
             raise ModeSearchError(
                 f"the band holds {count} open-circuit roots, and {inert} "
                 f"of the lowest do not couple to the electrodes")
     return roots
 
 
-def _search(stack: Stack, band: FrequencyGrid, max_modes: int,
-            backend: str, rel_tol: float):
-    """(mode numbers, fs, fp, coupling-null flags) of up to max_modes
-    modes whose open-circuit root lies in the band.
+def _search(stack: Stack, roots: list, backend: str, rel_tol: float):
+    """(mode numbers, fs, fp, coupling-null flags) of the modes whose
+    coupled open-circuit roots (mode number, f, weight) the caller gives:
+    _coupled_roots for a band, _mode0_root for mode 0.
 
-    The coupled open-circuit roots (_coupled_roots) number the modes.
     One circle call at all roots seeds the search: fp starts at the root,
     and that circle is its first pass; fs starts at the nearest pole of
     Y, root + r c2 / c3 from the Taylor coefficients c.  A lossy fs can
@@ -440,9 +439,6 @@ def _search(stack: Stack, band: FrequencyGrid, max_modes: int,
     coupling lies so far below 1/Qm that |Y| has no minimum.  Its fs and
     fp are the lossless pair instead.
     """
-    roots = _coupled_roots(stack, band, max_modes)
-    if not roots:
-        raise ModeSearchError("no resonance found in band")
     numbers, f_oc, weight = (np.array(v) for v in zip(*roots))
     evaluate = _kernel(stack, backend)
     r = _CIRCLE_RADIUS * f_oc
@@ -491,8 +487,10 @@ def find_modes(stack: Stack, band: FrequencyGrid, max_modes: int, *,
     """
     if max_modes < 1:
         raise ConfigError(f"max_modes must be >= 1, got {max_modes}")
-    numbers, fs_all, fp_all, null = _search(stack, band, max_modes, backend,
-                                            refine_tol)
+    roots = _coupled_roots(stack, band.f_min, band.f_max, max_modes)
+    if not roots:
+        raise ModeSearchError("no resonance found in band")
+    numbers, fs_all, fp_all, null = _search(stack, roots, backend, refine_tol)
     pairs = list(zip(fs_all.tolist(), fp_all.tolist()))
     for fs, fp in pairs:
         if not fp > fs:
@@ -527,26 +525,28 @@ def export_modes_csv(modes: list[ModeSummary], path) -> None:
                 m.coupling_null] for m in modes])
 
 
-def _lowest_fs(stack: Stack, band: FrequencyGrid) -> float:
-    """fs of mode 0, the fundamental: find_modes(stack, band, 1)[0].fs
-    from the same search, without the energies and Qm.  Raises
-    ModeSearchError when the band holds no mode 0."""
-    numbers, fs, _, _ = _search(stack, band, 1, "bvp", _REFINE_TOL)
-    if numbers[0] != 0:
-        raise ModeSearchError(f"the band holds no mode 0; its lowest mode "
-                              f"is mode {numbers[0]}")
-    return float(fs[0])
+def _mode0_root(stack: Stack, f_max: float) -> tuple[int, float, float]:
+    """(0, f, weight) of mode 0, the fundamental: the first open-circuit
+    root counted up from _NEAR_ZERO_HZ.  Raises ModeSearchError when it
+    does not couple to the electrodes or lies above f_max."""
+    for root in _open_circuit_modes(stack, _NEAR_ZERO_HZ, f_max):
+        if root[2] < _INERT_WEIGHT:
+            raise ModeSearchError("mode 0 does not couple to the electrodes")
+        return root
+    raise ModeSearchError(f"mode 0 lies above {f_max:.6g} Hz")
 
 
-def _mode0_estimate(stack: Stack, f_max: float) -> float | None:
-    """f_oc sqrt(1 - w) of mode 0, from its open-circuit root f_oc and
-    coupling weight w: the fs it would have if no other mode coupled.
-    None when mode 0 lies above f_max, is inert, or has w >= 1."""
-    for number, f, w in _open_circuit_modes(stack, _NEAR_ZERO_HZ, f_max):
-        if number == 0 and _INERT_WEIGHT <= w < 1.0:
-            return f * math.sqrt(1.0 - w)
-        break
-    return None
+def _lowest_fs(stack: Stack, f_max: float) -> float:
+    """fs of mode 0 (_mode0_root): find_modes' search, without Qm."""
+    return float(_search(stack, [_mode0_root(stack, f_max)], "bvp",
+                         _REFINE_TOL)[1][0])
+
+
+def _mode0_estimate(stack: Stack, f_max: float) -> float:
+    """f_oc sqrt(1 - w) from mode 0's open-circuit root f_oc and coupling
+    weight w (_mode0_root): its fs if no other mode coupled."""
+    _, f, w = _mode0_root(stack, f_max)
+    return f * math.sqrt(1.0 - w)
 
 
 def calibrate_piezo_stiffness(stack: Stack, target_fs: float,
@@ -562,23 +562,23 @@ def calibrate_piezo_stiffness(stack: Stack, target_fs: float,
     any kernel call, mode 0's open-circuit estimate (_mode0_estimate) at
     scale 1 and at e^_PREDICT_STEP gives a slope k; the first trial is the
     Newton step on it from scale 1, the second a Newton step with slope k
-    from the first.  Where mode 0 has no estimate or k <= 0, the first
-    trial is the stack as given and k = 1/2, the bare-plate law fs ~
-    sqrt(c33e).  Later trials take a secant step, then inverse quadratic
+    from the first.  Later trials take a secant step, then inverse quadratic
     interpolation through the last three trials, kept inside [0.5, 2] and,
     once two trials bracket the target, inside the bracket, which is
     bisected when a step leaves it (Brent, Algorithms for Minimization
     without Derivatives, 1973); a step covering half the way to an untried
     end of [0.5, 2] or more lands on that end (_next_trial).  A trial at
     an end whose fs stops short of the target raises ConfigError: no
-    scale reaches it.  Mode 0 need not lie in the band for the stack as
-    given; it must for every trial scale, or ModeSearchError is raised.
-    Each trial costs one search of mode 0 (_lowest_fs), which refines fs
-    and fp as find_modes does but skips the energies and Qm.
-    The search stops at the first trial whose fs lies within
-    _REFINE_TOL / 2 of target_fs, relative: half the tolerance find_modes
-    refines fs to; when the bracket can no longer be split it returns the
-    trial nearest the target.
+    scale reaches it.  Mode 0 (_mode0_root) is counted up from 0 Hz, so
+    the band's bottom plays no part; it must couple and lie below the
+    band's top at scale 1 and at every trial (at e^_PREDICT_STEP, below
+    e^_PREDICT_STEP times that top, since a scale s moves it by less than
+    a factor s), or ModeSearchError is raised.  Each trial costs one
+    search of mode 0 (_lowest_fs): find_modes' refinement without the
+    energies and Qm.  The search stops at the first trial whose fs lies
+    within _REFINE_TOL / 2 of target_fs, relative: half the tolerance
+    find_modes refines fs to; when the bracket can no longer be split it
+    returns the trial nearest the target.
     """
     if not 0 < target_fs < math.inf:
         raise ConfigError(
@@ -593,18 +593,16 @@ def calibrate_piezo_stiffness(stack: Stack, target_fs: float,
         return replace(stack, layers=tuple(layers))
 
     lo, hi = math.log(_SCALE_MIN), math.log(_SCALE_MAX)
-    x, slope = 0.0, 0.5
     e0 = _mode0_estimate(stack, band.f_max)
-    e1 = None if e0 is None else _mode0_estimate(
-        rescaled(math.exp(_PREDICT_STEP)), band.f_max)
-    if e1 is not None and e1 > e0:
-        slope = math.log(e1 / e0) / _PREDICT_STEP
-        x = min(max(math.log(target_fs / e0) / slope, lo), hi)
+    probe = math.exp(_PREDICT_STEP)
+    slope = math.log(_mode0_estimate(rescaled(probe), probe * band.f_max)
+                     / e0) / _PREDICT_STEP
+    x = min(max(math.log(target_fs / e0) / slope, lo), hi)
     trials = []
     while True:
         scale = math.exp(x)
         trial = rescaled(scale)
-        fs = _lowest_fs(trial, band)
+        fs = _lowest_fs(trial, band.f_max)
         if abs(fs - target_fs) <= 0.5 * _REFINE_TOL * target_fs:
             return trial, scale
         y = math.log(fs / target_fs)

@@ -16,6 +16,7 @@ bit-identical for any worker count.
 from __future__ import annotations
 
 import functools
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -71,9 +72,9 @@ class SweepConfig:
                                   "layer; varied layers must be non-piezo")
         if self.top_layer_index == self.bottom_layer_index:
             raise ConfigError("top and bottom layer indices must differ")
-        if not 0 < self.ratio_min < self.ratio_max:
+        if not 0 < self.ratio_min < self.ratio_max < math.inf:
             raise ConfigError(
-                f"need 0 < ratio_min < ratio_max, got "
+                f"need 0 < ratio_min < ratio_max < inf, got "
                 f"({self.ratio_min!r}, {self.ratio_max!r})")
         if self.grid_n < 2:
             raise ConfigError(f"grid_n must be >= 2, got {self.grid_n}")

@@ -269,6 +269,26 @@ def test_calibrate_unreachable_target_exits_2(stack_file, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_calibrate_with_mode_0_below_the_band_exits_2(tmp_path, capsys):
+    """Pt 500 / AlSiCu 500 nm needs a scale above 2 for 4.9 GHz.  At scale
+    2 mode 0 lies at 2.64 GHz, below the 3 GHz band edge: the target is
+    out of reach (exit 2), and the error quotes that fs."""
+    path = tmp_path / "thick.yaml"
+    path.write_text(serialize_stack(
+        nominal_stack().with_layer_thickness(0, 500e-9)
+        .with_layer_thickness(2, 500e-9)), encoding="utf-8")
+    out = tmp_path / "x"
+    code = cli.main(["simulate", "--stack", str(path),
+                     "--fmin", "3GHz", "--fmax", "15GHz", "--points", "601",
+                     "--calibrate-fs", "4.9GHz", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: target fs = 4.9e+09 Hz not reachable: "
+                          "scale 2,")
+    assert "puts mode 0 at 2.64242e+09 Hz" in err
+    assert not out.exists()
+
+
 # -- sweep -------------------------------------------------------------------
 
 def test_sweep_small_grid(stack_file, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 
 import pytest
@@ -95,6 +96,18 @@ def test_layer_and_stack_validation():
     with pytest.raises(ConfigError):
         Stack(layers=(Layer(pz, 100e-9, "piezo"),), area=1.0,
               boundary_top="clamped")
+
+
+@pytest.mark.parametrize("build, key", [
+    (lambda: Layer(make_metal(), math.inf, "electrode"), "thickness"),
+    (lambda: Stack(layers=(Layer(make_piezo(), 100e-9, "piezo"),),
+                   area=math.inf), "area_m2"),
+    (lambda: Stack(layers=(Layer(make_piezo(), 100e-9, "piezo"),),
+                   area=1.0, rs_electrical=math.nan), "rs_ohm"),
+], ids=["thickness", "area_m2", "rs_ohm"])
+def test_layer_and_stack_reject_non_finite_numbers(build, key):
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        build()
 
 
 def test_stack_helpers():
@@ -213,6 +226,24 @@ def test_load_stack_rejects_uncoupled_piezo(nominal):
 def test_load_stack_rejects_unknown_material(nominal):
     text = serialize_stack(nominal).replace("material: pt", "material: au")
     with pytest.raises(ConfigError):
+        load_stack(text)
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("rs_ohm", "rs_ohm: .nan"),
+    ("rs_ohm", "rs_ohm: .inf"),
+    ("area_m2", "area_m2: .inf"),
+    ("area_m2", "diameter_um: .inf"),
+    ("thickness_nm", "thickness_nm: .inf"),
+])
+def test_load_stack_rejects_non_finite_stack_numbers(nominal, key, bad):
+    """A stack number that is NaN or infinite is refused by its key, not
+    carried into a search that warns or returns a number."""
+    text, n = re.subn(rf"(?m)^(\s*){key}: .*$", rf"\g<1>{bad}",
+                      serialize_stack(nominal), count=1)
+    assert n == 1
+    with pytest.raises(ConfigError,
+                       match=f"{bad.split(':')[0]} must be finite"):
         load_stack(text)
 
 

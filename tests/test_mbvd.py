@@ -125,6 +125,19 @@ def test_parse_errors_carry_line_numbers():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("text, line, match", [
+    ("13.0 0.1 0.0 0.9 0.0 0.9 0.0 0.1 0.0\n# GHZ S RI R 50\n", 2,
+     "option line after data"),
+    ("# GHZ S RI R\n", 1, "R without an impedance"),
+    ("# GHZ S RI FOO\n", 1, "unknown option token 'FOO'"),
+    ("# GHZ S RI R 50\n! a comment, no record\n", 2, "no data records"),
+])
+def test_option_line_and_record_errors(text, line, match):
+    with pytest.raises(TouchstoneError, match=match) as err:
+        parse_touchstone(text)
+    assert err.value.line == line
+
+
 @pytest.mark.parametrize("z0", ["inf", "nan", "0", "-50", "-inf", "fifty"])
 def test_bad_reference_impedance_names_the_option_line(z0):
     text = f"! header\n# GHZ S RI R {z0}\n" + ONE_POINT.splitlines()[1]
@@ -594,6 +607,13 @@ def test_fit_requires_enough_points():
     curve = AdmittanceCurve(frequencies=f, y=mbvd_admittance(true, f))
     with pytest.raises(ConfigError, match="50"):
         fit_mbvd(curve)
+
+
+def test_fit_rejects_a_reversed_band():
+    true, fs = draw_params(np.random.default_rng(31))
+    curve = synth_curve(true, 0.5 * fs, 1.6 * fs, n=201)
+    with pytest.raises(ConfigError, match="lo < hi"):
+        fit_mbvd(curve, band=(1.25 * fs, 0.85 * fs))
 
 
 def test_fit_requires_a_conductance_peak():

@@ -2,6 +2,7 @@
 
 import csv
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -405,6 +406,11 @@ def test_find_modes_backend_choice(calibrated_stack):
     assert abs(bvp[0].fs - mason[0].fs) / bvp[0].fs < 1e-9
 
 
+def test_find_modes_rejects_an_unknown_backend(nominal):
+    with pytest.raises(ConfigError, match="backend must be 'bvp' or 'mason'"):
+        find_modes(nominal, CAL_BAND, 1, backend="x")
+
+
 def test_modes_csv_round_trip(calibrated_stack, tmp_path):
     """The mode column is the physical mode number: a band above the
     fundamental starts at mode 1, not 0."""
@@ -477,33 +483,6 @@ def test_calibration_call_budget(nominal, monkeypatch):
         assert abs(fs - target) <= 5e-10 * target, (target, fs)
 
 
-def test_calibration_without_a_prediction_starts_from_the_stack(
-        nominal, monkeypatch):
-    """With no open-circuit estimate of mode 0, the first trial is the
-    stack as given and the second follows the bare-plate law fs ~
-    sqrt(c33e)."""
-    monkeypatch.setattr(modal, "_mode0_estimate", lambda stack, f_max: None)
-    search = modal._lowest_fs
-    c33e = nominal.layers[nominal.piezo_index].material.c33e
-    trials = []
-
-    def recording(stack, band):
-        fs = search(stack, band)
-        trials.append((stack.layers[stack.piezo_index].material.c33e / c33e,
-                       fs))
-        return fs
-
-    monkeypatch.setattr(modal, "_lowest_fs", recording)
-    stack, _ = calibrate_piezo_stiffness(nominal, target_fs=4.9e9,
-                                         band=CAL_BAND)
-    assert trials[0][0] == 1.0
-    assert trials[1][0] == pytest.approx((4.9e9 / trials[0][1]) ** 2,
-                                         rel=1e-12)
-    assert len(trials) <= 6, trials
-    fs = find_modes(stack, CAL_BAND, 1)[0].fs
-    assert abs(fs - 4.9e9) <= 5e-10 * 4.9e9, fs
-
-
 def test_calibration_scales_only_piezo_stiffness(nominal, calibrated):
     stack, scale = calibrated
     for lay, ref in zip(stack.layers, nominal.layers):
@@ -571,6 +550,56 @@ def test_calibration_needs_mode_0_in_band_only_at_its_trials(nominal):
     assert 0.5 < scale < 2.0
     fs = find_modes(stack, band, 1)[0].fs
     assert abs(fs - 5.7e9) <= 5e-10 * 5.7e9, fs
+
+
+def test_calibration_probes_the_slope_above_the_band_top(nominal):
+    """Mode 0's open-circuit root lies at 5.246 GHz on the nominal stack,
+    just below a 5.25 GHz top.  The slope probe at scale e^0.01 moves it
+    above that top; only scale 1 and the trials must keep it below."""
+    band = FrequencyGrid(3e9, 5.25e9, 101)
+    stack, _ = calibrate_piezo_stiffness(nominal, target_fs=4.6e9, band=band)
+    fs = find_modes(stack, band, 1)[0].fs
+    assert abs(fs - 4.6e9) <= 5e-10 * 4.6e9, fs
+
+
+def test_calibration_over_the_electrode_scan(nominal):
+    """README's scan of Pt and AlSiCu 50-500 nm (25 nm steps) at 4.9 GHz
+    over 3-15 GHz: 84 pairs calibrate, and every other one is out of
+    reach, a ConfigError that quotes an end's fs.  Mode 0 is counted from
+    0 Hz, so a trial that moves it below 3 GHz is still searched."""
+    calibrated = unreachable = 0
+    for t_pt, t_al in itertools.product(range(50, 501, 25), repeat=2):
+        stack = (nominal.with_layer_thickness(0, t_pt * 1e-9)
+                 .with_layer_thickness(2, t_al * 1e-9))
+        try:
+            stack, _ = calibrate_piezo_stiffness(stack, 4.9e9, CAL_BAND)
+        except ConfigError as exc:
+            assert "not reachable" in str(exc), (t_pt, t_al)
+            unreachable += 1
+            continue
+        mode = find_modes(stack, CAL_BAND, 1)[0]
+        assert mode.mode_number == 0
+        assert abs(mode.fs - 4.9e9) <= 5e-10 * 4.9e9, (t_pt, t_al, mode.fs)
+        calibrated += 1
+    assert (calibrated, unreachable) == (84, 277)
+
+
+LOG_SCALE_MIN, LOG_SCALE_MAX = math.log(0.5), math.log(2.0)
+
+
+@pytest.mark.parametrize("trials, expected", [
+    # above the target, and the Newton step covers half the way to the
+    # low end or more: that end is tried next
+    ([(0.0, 0.5)], LOG_SCALE_MIN),
+    # the last two trials share their y, so no secant: the midpoint of
+    # the bracket (-0.25, 0.25)
+    ([(-0.25, -0.1), (0.5, 0.1), (0.25, 0.1)], 0.0),
+    # a bracket one ulp wide has no midpoint inside it
+    ([(0.25, -0.1), (math.nextafter(0.25, 1.0), 0.1)], None),
+])
+def test_next_trial_ends_midpoints_and_exhausted_brackets(trials, expected):
+    assert modal._next_trial(trials, 0.5, LOG_SCALE_MIN,
+                             LOG_SCALE_MAX) == expected
 
 
 # -- physical mode numbers ---------------------------------------------------

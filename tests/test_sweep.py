@@ -1,6 +1,7 @@
 """Thickness-sweep grids, CSV export, and SVG heatmap rendering."""
 
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -48,6 +49,11 @@ def test_config_validation(nominal):
                     band=WIDE_BAND)
 
 
+def test_config_rejects_an_infinite_ratio_max(nominal):
+    with pytest.raises(ConfigError, match="ratio_max < inf, got .*inf"):
+        small_config(nominal, ratio_max=math.inf)
+
+
 def test_thickness_axis(nominal):
     cfg = small_config(nominal, grid_n=5)
     axis = cfg.thickness_axis()
@@ -62,6 +68,12 @@ def test_thickness_axis(nominal):
 def grid4(nominal):
     """4x4 single-mode sweep reused across assertions below."""
     return run_sweep(small_config(nominal, grid_n=4))
+
+
+def test_run_sweep_rejects_jobs_below_one(nominal, monkeypatch):
+    monkeypatch.setattr(sweep, "find_modes", None)    # no cell is solved
+    with pytest.raises(ConfigError, match="jobs must be >= 1, got 0"):
+        run_sweep(small_config(nominal), jobs=0)
 
 
 def test_corner_cells_match_standalone_analysis(nominal):
@@ -327,3 +339,9 @@ def test_heatmap_rejects_unknown_metric(grid4, tmp_path):
         with pytest.raises(ConfigError):
             render_heatmap(grid4, metric, 0, tmp_path / "x.svg")
     assert HEATMAP_METRICS == ("fs_norm", "keff2_norm", "fom_norm")
+
+
+@pytest.mark.parametrize("mode", [-1, 1])
+def test_heatmap_rejects_a_mode_out_of_range(grid4, tmp_path, mode):
+    with pytest.raises(ConfigError, match=f"mode {mode} out of range"):
+        render_heatmap(grid4, "fom_norm", mode, tmp_path / "x.svg")
