@@ -25,8 +25,9 @@ from .acoustic1d import (AdmittanceCurve, FrequencyGrid, PhysicsError,
                          export_spectrum_csv, spectrum)
 from .materials import ConfigError, Stack, load_stack
 from .mbvd import (FREQUENCY_UNITS, ConversionError, TouchstoneError,
-                   export_fit_curve_csv, fit_mbvd, format_fit_report,
-                   parse_touchstone, transmission_admittance)
+                   _shift_exponent, export_fit_curve_csv, fit_mbvd,
+                   format_fit_report, parse_touchstone,
+                   transmission_admittance)
 from .modal import (ModeSearchError, _coupled_roots,
                     calibrate_piezo_stiffness, estimate_frequency,
                     estimate_thickness, export_modes_csv, find_modes)
@@ -36,25 +37,25 @@ from .sweep import (HEATMAP_METRICS, BandCoverageError, SweepConfig,
 
 def parse_frequency(text: str, default_factor: float = 1.0) -> float:
     """Parse a finite float literal with an optional Hz/kHz/MHz/GHz suffix
-    (3e9, 4.9GHz, 2.5e-3 GHz); a bare number is scaled by default_factor."""
-    # the number is any run of non-letters, with an optional exponent
+    (3e9, 4.9GHz, 2.5e-3 GHz); a bare number is scaled by default_factor,
+    a power of ten.  As in parse_touchstone, the unit shifts the literal's
+    decimal exponent, so float() rounds its exact value in Hz once."""
+    # the mantissa is any run of non-letters (float() checks it), the
+    # exponent an optional signed integer
     m = re.fullmatch(
-        r"\s*([^a-zA-Z\s]+(?:[eE][^a-zA-Z\s]+)?)\s*([a-zA-Z]*)\s*", text)
+        r"\s*([^a-zA-Z\s]+)([eE][+-]?\d+)?\s*([a-zA-Z]*)\s*", text)
     if not m:
         raise ConfigError(f"cannot parse frequency {text!r}")
-    try:
-        value = float(m.group(1))
-    except ValueError:
-        raise ConfigError(f"cannot parse frequency {text!r}")
-    suffix = m.group(2).upper()
-    if not suffix:
-        factor = default_factor
-    elif suffix in FREQUENCY_UNITS:
-        factor = 10.0 ** FREQUENCY_UNITS[suffix]
-    else:
-        raise ConfigError(f"unknown frequency unit {m.group(2)!r} "
+    suffix = m[3].upper()
+    if suffix and suffix not in FREQUENCY_UNITS:
+        raise ConfigError(f"unknown frequency unit {m[3]!r} "
                           "(expected Hz, kHz, MHz, or GHz)")
-    hz = value * factor
+    exp = FREQUENCY_UNITS[suffix] if suffix else \
+        round(math.log10(default_factor))
+    try:
+        hz = _shift_exponent(m[1] + (m[2] or "e0"), exp)
+    except (OverflowError, ValueError):
+        raise ConfigError(f"cannot parse frequency {text!r}")
     if not math.isfinite(hz):
         raise ConfigError(f"frequency {text!r} is not finite")
     return hz
@@ -267,9 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     freq_help = "accepts Hz/kHz/MHz/GHz suffixes; bare numbers are Hz"
-    calibrate_help = ("first scale the piezo c33E so mode 0's fs over the "
-                      "run's band lands on this frequency (bare numbers "
-                      "are GHz)")
+    calibrate_help = ("first scale the piezo c33E so mode 0's fs lands on "
+                      "this frequency; the calibrated mode 0 must lie in "
+                      "the run's band (bare numbers are GHz)")
 
     p = sub.add_parser("simulate",
                        help="admittance spectrum and mode table for a stack")

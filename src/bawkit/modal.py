@@ -24,9 +24,10 @@ so far below 1/Qm that |Y| has no minimum is flagged coupling_null and
 reported by its lossless (fs, fp) pair.  eta and Qm of every mode come
 from one strain_energy call at all the fs values.
 calibrate_piezo_stiffness runs the same search for mode 0, the first
-open-circuit root counted up from 0 Hz (the band's bottom plays no part),
-without the energies, at each trial scale of a safeguarded secant search
-that starts at the scale mode 0's open-circuit root and weight predict.
+open-circuit root counted up from 0 Hz and walked to a limit the stack
+sets, without the energies, at each trial scale of a safeguarded secant
+search that starts at the scale mode 0's open-circuit root and weight
+predict; the band is read once, to check the calibrated mode 0.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ import numpy as np
 
 from ._csvfloat import write_csv
 from .acoustic1d import EnergyPartition, FrequencyGrid, \
-    _open_circuit_modes, _open_circuit_theta, admittance_bvp, \
-    admittance_mason, strain_energy
+    _open_circuit_modes, _open_circuit_theta, _prufer_layers, \
+    admittance_bvp, admittance_mason, strain_energy
 from .materials import ConfigError, Stack
 
 # Y is sampled on a circle of _CIRCLE_POINTS points, radius
@@ -166,7 +167,9 @@ def mode_count(stack: Stack, f: float) -> int:
     """How many modes of the stack lie below f, coupled or not: the
     eigenfrequencies of its lossless open-circuit problem below f, which
     number the modes (ModeSummary.mode_number).  Raises ConfigError when
-    the count is not finite."""
+    f or the count is not finite."""
+    if not math.isfinite(f):
+        raise ConfigError(f"mode_count needs a finite f, got {f!r} Hz")
     theta, first, _, _ = _open_circuit_theta(stack, f)
     return max(0, math.ceil(theta(2.0 * math.pi * f)[0]) - first)
 
@@ -525,27 +528,39 @@ def export_modes_csv(modes: list[ModeSummary], path) -> None:
                 m.coupling_null] for m in modes])
 
 
-def _mode0_root(stack: Stack, f_max: float) -> tuple[int, float, float]:
+def _mode0_root(stack: Stack) -> tuple[int, float, float]:
     """(0, f, weight) of mode 0, the fundamental: the first open-circuit
-    root counted up from _NEAR_ZERO_HZ.  Raises ModeSearchError when it
-    does not couple to the electrodes or lies above f_max."""
-    for root in _open_circuit_modes(stack, _NEAR_ZERO_HZ, f_max):
-        if root[2] < _INERT_WEIGHT:
-            raise ModeSearchError("mode 0 does not couple to the electrodes")
-        return root
-    raise ModeSearchError(f"mode 0 lies above {f_max:.6g} Hz")
+    root counted up from _NEAR_ZERO_HZ.
+
+    Each of the L - 1 interfaces of an L-layer stack moves the Pruefer
+    phase by less than pi/2 (_open_circuit_theta), so mode 0 lies at or
+    below (L + 1) / (4 sum t/v); a free/free or rigid/rigid plate's mode
+    0 lies on that bound, and the walk goes to twice it, a limit the
+    stack alone sets.  Raises ModeSearchError when mode 0 lies below
+    _NEAR_ZERO_HZ (the walk meets a higher mode first, or no root) or
+    does not couple to the electrodes.
+    """
+    layers = _prufer_layers(stack)
+    limit = (len(layers) + 1) / (2.0 * sum(lay[0] for lay in layers))
+    root = next(_open_circuit_modes(stack, _NEAR_ZERO_HZ, limit), None)
+    if root is None or root[0] != 0:
+        raise ModeSearchError(f"mode 0 lies below {_NEAR_ZERO_HZ:g} Hz")
+    if root[2] < _INERT_WEIGHT:
+        raise ModeSearchError("mode 0 does not couple to the electrodes")
+    return root
 
 
-def _lowest_fs(stack: Stack, f_max: float) -> float:
-    """fs of mode 0 (_mode0_root): find_modes' search, without Qm."""
-    return float(_search(stack, [_mode0_root(stack, f_max)], "bvp",
-                         _REFINE_TOL)[1][0])
+def _lowest_fs(stack: Stack) -> tuple[float, float]:
+    """Mode 0's open-circuit root (_mode0_root) and its fs: find_modes'
+    search, without Qm."""
+    root = _mode0_root(stack)
+    return root[1], float(_search(stack, [root], "bvp", _REFINE_TOL)[1][0])
 
 
-def _mode0_estimate(stack: Stack, f_max: float) -> float:
+def _mode0_estimate(stack: Stack) -> float:
     """f_oc sqrt(1 - w) from mode 0's open-circuit root f_oc and coupling
     weight w (_mode0_root): its fs if no other mode coupled."""
-    _, f, w = _mode0_root(stack, f_max)
+    _, f, w = _mode0_root(stack)
     return f * math.sqrt(1.0 - w)
 
 
@@ -569,16 +584,17 @@ def calibrate_piezo_stiffness(stack: Stack, target_fs: float,
     without Derivatives, 1973); a step covering half the way to an untried
     end of [0.5, 2] or more lands on that end (_next_trial).  A trial at
     an end whose fs stops short of the target raises ConfigError: no
-    scale reaches it.  Mode 0 (_mode0_root) is counted up from 0 Hz, so
-    the band's bottom plays no part; it must couple and lie below the
-    band's top at scale 1 and at every trial (at e^_PREDICT_STEP, below
-    e^_PREDICT_STEP times that top, since a scale s moves it by less than
-    a factor s), or ModeSearchError is raised.  Each trial costs one
-    search of mode 0 (_lowest_fs): find_modes' refinement without the
-    energies and Qm.  The search stops at the first trial whose fs lies
-    within _REFINE_TOL / 2 of target_fs, relative: half the tolerance
-    find_modes refines fs to; when the bracket can no longer be split it
-    returns the trial nearest the target.
+    scale reaches it.  Mode 0 (_mode0_root) is counted up from 0 Hz to a
+    limit the stack sets, so the band plays no part in the search; mode 0
+    must couple at scale 1, at e^_PREDICT_STEP and at every trial, or
+    ModeSearchError is raised.  Each trial costs one search of mode 0
+    (_lowest_fs): find_modes' refinement without the energies and Qm.
+    The search stops at the first trial whose fs lies within
+    _REFINE_TOL / 2 of target_fs, relative: half the tolerance find_modes
+    refines fs to; when the bracket can no longer be split it takes the
+    trial nearest the target.  Only then is the band read: the calibrated
+    mode 0's open-circuit root, which its trial already found, must lie
+    at or below band.f_max, or ModeSearchError is raised.
     """
     if not 0 < target_fs < math.inf:
         raise ConfigError(
@@ -593,18 +609,17 @@ def calibrate_piezo_stiffness(stack: Stack, target_fs: float,
         return replace(stack, layers=tuple(layers))
 
     lo, hi = math.log(_SCALE_MIN), math.log(_SCALE_MAX)
-    e0 = _mode0_estimate(stack, band.f_max)
-    probe = math.exp(_PREDICT_STEP)
-    slope = math.log(_mode0_estimate(rescaled(probe), probe * band.f_max)
+    e0 = _mode0_estimate(stack)
+    slope = math.log(_mode0_estimate(rescaled(math.exp(_PREDICT_STEP)))
                      / e0) / _PREDICT_STEP
     x = min(max(math.log(target_fs / e0) / slope, lo), hi)
-    trials = []
-    while True:
+    trials, roots = [], {}
+    while x is not None:
         scale = math.exp(x)
         trial = rescaled(scale)
-        fs = _lowest_fs(trial, band.f_max)
+        roots[scale], fs = _lowest_fs(trial)
         if abs(fs - target_fs) <= 0.5 * _REFINE_TOL * target_fs:
-            return trial, scale
+            break
         y = math.log(fs / target_fs)
         if (x == lo and y > 0.0) or (x == hi and y < 0.0):
             raise ConfigError(
@@ -613,9 +628,12 @@ def calibrate_piezo_stiffness(stack: Stack, target_fs: float,
                 f"{_SCALE_MAX:g}] nearest it, puts mode 0 at {fs:.6g} Hz")
         trials.append((x, y))
         x = _next_trial(trials, slope, lo, hi)
-        if x is None:
-            scale = math.exp(min(trials, key=lambda t: abs(t[1]))[0])
-            return rescaled(scale), scale
+    else:
+        scale = math.exp(min(trials, key=lambda t: abs(t[1]))[0])
+        trial = rescaled(scale)
+    if roots[scale] > band.f_max:
+        raise ModeSearchError(f"mode 0 lies above {band.f_max:.6g} Hz")
+    return trial, scale
 
 
 def _next_trial(trials: list, slope: float, lo: float,

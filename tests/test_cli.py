@@ -9,6 +9,8 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bawkit
 import bawkit.cli as cli
@@ -55,6 +57,21 @@ def test_parse_frequency_units():
                 "NaN", "1e999", "1e300GHz", "3e9e9", ""):
         with pytest.raises(ConfigError):
             cli.parse_frequency(bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(whole=st.integers(min_value=0, max_value=10 ** 6),
+       decimals=st.text("0123456789", min_size=1, max_size=6),
+       unit=st.sampled_from(["Hz", "kHz", "MHz", "GHz", " GHz", ""]))
+@example(whole=16, decimals="9", unit="GHz")
+def test_parse_frequency_rounds_once(whole, decimals, unit):
+    """A decimal literal in any unit, or bare with the GHz default, reads
+    as float() of the literal with the unit's exponent appended: its exact
+    value in Hz rounded once, as a Touchstone frequency reads."""
+    literal = f"{whole}.{decimals}"
+    exp = {"Hz": 0, "kHz": 3, "MHz": 6}.get(unit, 9)
+    assert cli.parse_frequency(literal + unit, default_factor=1e9) == float(
+        f"{literal}e{exp}")
 
 
 def test_parse_band_and_ratio_errors():
@@ -287,6 +304,34 @@ def test_calibrate_with_mode_0_below_the_band_exits_2(tmp_path, capsys):
                           "scale 2,")
     assert "puts mode 0 at 2.64242e+09 Hz" in err
     assert not out.exists()
+
+
+def test_calibrate_with_mode_0_above_the_band_top(stack_file, tmp_path,
+                                                 capsys):
+    """The stack as given puts mode 0's open-circuit root at 5.25 GHz,
+    above a 5.1 GHz top; the calibrated stack holds it at 4.90 GHz."""
+    out = tmp_path / "low"
+    code = cli.main(["simulate", "--stack", str(stack_file),
+                     "--fmin", "3GHz", "--fmax", "5.1GHz", "--points", "101",
+                     "--calibrate-fs", "4.6GHz", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    rows = list(csv.DictReader(open(out / "modes.csv")))
+    fs = float(rows[0]["fs_hz"])
+    assert rows[0]["mode"] == "0" and abs(fs - 4.6e9) <= 5e-10 * 4.6e9, fs
+
+
+def test_simulate_writes_the_band_as_typed(stack_file, tmp_path, capsys):
+    """16.9GHz is 16900000000 Hz in the manifest and the first spectrum
+    row, not the 16899999999.999998 of a binary multiply by 1e9."""
+    out = tmp_path / "band"
+    code = cli.main(["simulate", "--stack", str(stack_file),
+                     "--fmin", "16.9GHz", "--fmax", "33.678GHz",
+                     "--points", "11", "--out", str(out)])
+    assert code == 0
+    assert "config.fmin_hz: 16900000000" in manifest_digest_lines(out)
+    rows = (out / "spectrum_bvp.csv").read_text().splitlines()
+    assert rows[1].startswith("16900000000,")
+    capsys.readouterr()
 
 
 # -- sweep -------------------------------------------------------------------

@@ -497,13 +497,16 @@ def test_calibration_scales_only_piezo_stiffness(nominal, calibrated):
 
 def test_calibration_rejects_unreachable_target(nominal, monkeypatch):
     """A target beyond every scale in [0.5, 2] costs at most two searches,
-    and the error quotes an fs that a search produced."""
+    and the error quotes an fs that a search produced, also over a band
+    whose top lies below mode 0 at every scale."""
     calls = counted(monkeypatch, "_lowest_fs")
-    with pytest.raises(ConfigError, match="^target fs = 4e.10 Hz not "
-                       "reachable: scale 2, .* puts mode 0 at 5.8"):
-        calibrate_piezo_stiffness(nominal, target_fs=40e9,
-                                  band=FrequencyGrid(3e9, 15e9, 601))
-    assert len(calls) <= 2, len(calls)
+    for f_max in (15e9, 4e9):
+        calls.clear()
+        with pytest.raises(ConfigError, match="^target fs = 4e.10 Hz not "
+                           "reachable: scale 2, .* puts mode 0 at 5.8"):
+            calibrate_piezo_stiffness(nominal, target_fs=40e9,
+                                      band=FrequencyGrid(3e9, f_max, 601))
+        assert len(calls) <= 2, (f_max, len(calls))
 
 
 def test_calibration_tries_an_end_within_twice_its_step(nominal,
@@ -542,8 +545,8 @@ def test_calibration_reaches_a_target_near_the_band_edge(nominal):
 
 def test_calibration_needs_mode_0_in_band_only_at_its_trials(nominal):
     """The nominal stack puts mode 0 at 5.04 GHz, below a 5.6-15 GHz band;
-    the search starts at the scale the open-circuit count predicts, where
-    mode 0 lies in the band."""
+    the search walks mode 0 to a limit the stack sets, and only the
+    calibrated stack must hold it in the band."""
     band = FrequencyGrid(5.6e9, 15e9, 601)
     stack, scale = calibrate_piezo_stiffness(nominal, target_fs=5.7e9,
                                              band=band)
@@ -555,11 +558,48 @@ def test_calibration_needs_mode_0_in_band_only_at_its_trials(nominal):
 def test_calibration_probes_the_slope_above_the_band_top(nominal):
     """Mode 0's open-circuit root lies at 5.246 GHz on the nominal stack,
     just below a 5.25 GHz top.  The slope probe at scale e^0.01 moves it
-    above that top; only scale 1 and the trials must keep it below."""
+    above that top; only the calibrated stack must keep it below."""
     band = FrequencyGrid(3e9, 5.25e9, 101)
     stack, _ = calibrate_piezo_stiffness(nominal, target_fs=4.6e9, band=band)
     fs = find_modes(stack, band, 1)[0].fs
     assert abs(fs - 4.6e9) <= 5e-10 * 4.6e9, fs
+
+
+def test_calibration_starts_above_the_band_top(nominal):
+    """Mode 0's open-circuit root at 5.246 GHz lies above a 5.1 GHz top on
+    the stack as given; scale 0.7351 moves it to 4.90 GHz and its fs to
+    the 4.6 GHz target."""
+    band = FrequencyGrid(3e9, 5.1e9, 101)
+    stack, scale = calibrate_piezo_stiffness(nominal, target_fs=4.6e9,
+                                             band=band)
+    assert scale == pytest.approx(0.7351, abs=1e-4)
+    mode = find_modes(stack, band, 1)[0]
+    assert mode.mode_number == 0
+    assert abs(mode.fs - 4.6e9) <= 5e-10 * 4.6e9, mode.fs
+
+
+def test_calibration_needs_the_calibrated_mode_0_below_the_band_top(
+        nominal):
+    """4.9 GHz calibrates, but puts mode 0's root above a 4 GHz top."""
+    with pytest.raises(ModeSearchError, match="^mode 0 lies above 4e.09 Hz$"):
+        calibrate_piezo_stiffness(nominal, target_fs=4.9e9,
+                                  band=FrequencyGrid(3e9, 4e9, 101))
+
+
+def test_calibration_checks_the_band_on_the_trial_it_returns(nominal,
+                                                             monkeypatch):
+    """A bracket that can no longer be split returns the trial nearest
+    the target, here the first; the band's top is checked against the
+    open-circuit root that trial found, which may lie on it."""
+    monkeypatch.setattr(modal, "_next_trial", lambda *args: None)
+    stack, _ = calibrate_piezo_stiffness(nominal, 4.9e9, CAL_BAND)
+    root = modal._mode0_root(stack)[1]
+    calls = counted(monkeypatch, "_lowest_fs")
+    calibrate_piezo_stiffness(nominal, 4.9e9, FrequencyGrid(3e9, root, 2))
+    with pytest.raises(ModeSearchError, match="^mode 0 lies above"):
+        calibrate_piezo_stiffness(nominal, 4.9e9, FrequencyGrid(
+            3e9, math.nextafter(root, 0.0), 2))
+    assert len(calls) == 2
 
 
 def test_calibration_over_the_electrode_scan(nominal):
@@ -640,6 +680,67 @@ def test_mode_count_matches_dense_root_scan(seed):
         assert freqs[i] <= f <= freqs[i + 1]
     for k in range(0, freqs.size, 8000):
         assert mode_count(stack, freqs[k]) == np.count_nonzero(cross < k)
+
+
+def mode0_bound(stack):
+    """(L + 1) / (4 sum t/v) of an L-layer lossless open-circuit stack."""
+    delay = 0.0
+    for lay in stack.layers:
+        mat = lay.material
+        c = mat.c33d if lay.role == "piezo" else mat.c33e
+        delay += lay.thickness / math.sqrt(c / mat.density)
+    return (len(stack.layers) + 1) / (4.0 * delay)
+
+
+def walked_mode0(stack):
+    """Mode 0's root as _mode0_root walks to it, coupled or not, checked
+    against the first sign change of a dense scan of the boundary
+    residual and against mode0_bound; returns (f, bound)."""
+    freqs = np.linspace(1e6, 40e9, 80001)
+    res = open_circuit_residual(stack, freqs)
+    i = np.flatnonzero(np.signbit(res[1:]) != np.signbit(res[:-1]))[0]
+    with pytest.MonkeyPatch.context() as mp:
+        # every root couples: the walk alone is under test
+        mp.setattr(modal, "_INERT_WEIGHT", 0.0)
+        number, f, _ = modal._mode0_root(stack)
+    bound = mode0_bound(stack)
+    assert number == 0
+    assert freqs[i] <= f <= freqs[i + 1]
+    assert f <= bound * (1.0 + 1e-12), (f, bound)
+    return f, bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@example(seed=0)
+def test_mode0_walk_ends_at_a_bound_the_stack_sets(seed):
+    """Each interface moves the Pruefer phase by less than pi/2, so mode 0
+    lies at or below (L + 1) / (4 sum t/v): the walk that stops at twice
+    that, with no band, finds the first root of the dense scan."""
+    walked_mode0(random_stack(np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("bottom, top", itertools.product(("free", "rigid"),
+                                                          repeat=2))
+def test_mode0_of_a_plate_meets_the_bound(bottom, top):
+    """A plate's mode 0 is a half wave between like ends, on the bound
+    2 / (4 t/v), and a quarter wave between unlike ones, half of it."""
+    stack = plate(make_piezo(), 250e-9, boundary_bottom=bottom,
+                  boundary_top=top)
+    f, bound = walked_mode0(stack)
+    share = 1.0 if bottom == top else 0.5
+    assert f == pytest.approx(share * bound, rel=1e-12)
+
+
+def test_mode0_root_is_mode_0_or_raises(nominal, monkeypatch):
+    """A 10 km bottom electrode puts mode 0 below 1 Hz, where the walk
+    starts, so the first root the walk meets is a higher mode: that is an
+    error, even when every root counts as coupled."""
+    monkeypatch.setattr(modal, "_INERT_WEIGHT", 0.0)
+    stack = nominal.with_layer_thickness(0, 1e4)
+    assert mode_count(stack, 1.0) > 0
+    with pytest.raises(ModeSearchError, match="^mode 0 lies below 1 Hz$"):
+        modal._mode0_root(stack)
 
 
 @settings(max_examples=30, deadline=None)
@@ -746,8 +847,14 @@ def test_coupling_null_mode_reports_its_lossless_pair(calibrated_stack,
 
 def test_mode_count_is_finite_or_config_error(nominal):
     assert mode_count(nominal, 1e9) == 0
+    assert mode_count(nominal, 0.0) == mode_count(nominal, -1e9) == 0
     assert mode_count(nominal, 34e9) == len(
         list(_open_circuit_modes(nominal, 1e6, 34e9)))
+    # a non-finite f is the caller's error, not the stack's
+    for f in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="finite f") as exc:
+            mode_count(nominal, f)
+        assert "too thick" not in str(exc.value)
     huge = nominal.with_layer_thickness(0, 1e305)
     with pytest.raises(ConfigError, match="not finite"):
         mode_count(huge, 34e9)
