@@ -1,5 +1,6 @@
-"""bawkit's one CSV writer: float64 columns, every number byte-identical
-to Python's "%.17g", "," between fields and "\\n" after each row.
+"""bawkit's one file writer (write_file) and its one CSV writer: float64
+columns, every number byte-identical to Python's "%.17g", "," between
+fields and "\\n" after each row.
 
 format_rows does in a few dozen numpy passes what "%.17g" % x does one
 value at a time.  For a finite nonzero x it takes the decimal exponent X
@@ -29,6 +30,7 @@ longest fallback text needs.  A written spectrum's three columns need
 """
 
 import math
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -117,11 +119,30 @@ def _digits(ax):
     return x, n, sure
 
 
+def write_file(path, data: bytes) -> None:
+    """Make the file at path hold exactly data, overwriting it in place.
+
+    The path is opened without O_TRUNC, written from its start, then cut
+    to len(data).  ext4 (auto_da_alloc) forces a writeback on closing a
+    file that was truncated to size 0 or renamed over, and a rewrite of
+    the same path waits for it from its third time on (tens of ms a
+    file); an overwrite cut to a non-zero length does neither.  An
+    existing file keeps its inode, hard links and mode; a new one gets
+    0o666 less the umask, as open() gives.  As with open(path, "wb"),
+    the write is neither atomic nor synced: a crash during it can leave
+    old and new bytes mixed, where a truncating write could leave the
+    file empty or short.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
+                 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(data)
+        fh.truncate(len(data))
+
+
 def write_csv(path, header: str, cols, blank=None) -> None:
     """Write the line header, then the rows of format_rows(cols, blank)."""
-    with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
-        fh.write(format_rows(cols, blank))
+    write_file(path, header.encode() + b"\n" + format_rows(cols, blank))
 
 
 def format_rows(cols, blank=None) -> bytes:

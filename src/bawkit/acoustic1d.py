@@ -575,13 +575,22 @@ def _prufer_layers(stack: Stack) -> list[tuple[float, float, float, float]]:
 
     With D = 0 the piezo is an elastic layer of stiffness c33d, every
     other layer keeps c33e, and the losses are dropped: Re(c_star).
+    Raises ConfigError naming the layer whose phase span t / v is not
+    finite and > 0: a layer so thin that it rounds to 0 s, or so slow
+    that it overflows.
     """
     dc = derive_constants(stack)
     out = []
     for lay, c in zip(stack.layers, dc.c_star):
         rho = lay.material.density
         v = math.sqrt(c.real / rho)
-        out.append((lay.thickness / v, lay.thickness, rho, rho * v))
+        tau = lay.thickness / v
+        if not 0.0 < tau < math.inf:
+            raise ConfigError(
+                f"layer {lay.material.name!r}: its transit time t / v = "
+                f"{lay.thickness!r} m / {v:.6g} m/s is {tau!r} s, not "
+                f"finite and > 0")
+        out.append((tau, lay.thickness, rho, rho * v))
     return out
 
 
@@ -639,9 +648,10 @@ def _coupling_weight(stack: Stack, layers, phi: float, omega: float) -> float:
         stack.t_piezo * omega * omega * mass)
 
 
-def _open_circuit_theta(stack: Stack, f_max: float):
+def _open_circuit_theta(stack: Stack, f_max: float, layers=None):
     """theta(omega) -> (theta, dtheta/domega) for the lossless open-circuit
-    stack, with (first, layers, start) for _open_circuit_modes.
+    stack, with (first, layers, start) for _open_circuit_modes; layers is
+    _prufer_layers(stack), built here unless the caller has it.
 
     The Pruefer phase starts at pi/2 at a free bottom (T = 0) and at 0 at
     a rigid one (u = 0), and targets pi/2 (free) or 0 (rigid) modulo pi at
@@ -651,7 +661,8 @@ def _open_circuit_theta(stack: Stack, f_max: float):
     finite: the stack is too thick for its modes below f_max to be
     counted.
     """
-    layers = _prufer_layers(stack)
+    if layers is None:
+        layers = _prufer_layers(stack)
     steps = [(tau, nxt[3] / z) for (tau, _, _, z), nxt in
              zip(layers, layers[1:])] + [(layers[-1][0], 0.0)]
     start = 0.5 * math.pi if stack.boundary_bottom == "free" else 0.0
@@ -670,9 +681,11 @@ def _open_circuit_theta(stack: Stack, f_max: float):
     return theta, first, layers, start
 
 
-def _open_circuit_modes(stack: Stack, f_min: float, f_max: float):
+def _open_circuit_modes(stack: Stack, f_min: float, f_max: float,
+                        layers=None):
     """Yield (mode_number, f, weight) for each eigenfrequency f of the
-    lossless open-circuit stack in [f_min, f_max], in ascending order.
+    lossless open-circuit stack in [f_min, f_max], in ascending order;
+    layers is passed on to _open_circuit_theta.
 
     mode_number counts the eigenfrequencies from the lowest above zero
     (_open_circuit_theta), so it is the physical mode index.  Each root
@@ -682,12 +695,14 @@ def _open_circuit_modes(stack: Stack, f_min: float, f_max: float):
     if no other mode coupled, 8 kt^2 / (n pi)^2 for the n-th mode of a
     bare plate and 0 for a mode the electrodes cannot drive.
     """
-    theta, first, layers, start = _open_circuit_theta(stack, f_max)
+    theta, first, layers, start = _open_circuit_theta(stack, f_max, layers)
     two_pi = 2.0 * math.pi
     lo, th_lo = two_pi * f_min, theta(two_pi * f_min)[0]
     w_max = two_pi * f_max
     th_max = theta(w_max)[0]
-    for m in range(math.ceil(th_lo), math.floor(th_max) + 1):
+    # theta can round to an integer below first at f_min (a stack so thin
+    # that the phase barely moves), which is no root
+    for m in range(max(first, math.ceil(th_lo)), math.floor(th_max) + 1):
         a, b = lo, w_max
         # the chord of theta across the bracket starts Newton
         w = a + (m - th_lo) * (b - a) / (th_max - th_lo) \

@@ -21,6 +21,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
+from ._csvfloat import write_file
 from .acoustic1d import (AdmittanceCurve, FrequencyGrid, PhysicsError,
                          export_spectrum_csv, spectrum)
 from .materials import ConfigError, Stack, load_stack
@@ -114,7 +115,7 @@ def write_manifest(out_dir: pathlib.Path, subcommand: str, config: dict,
     lines.append(f"timestamp: {datetime.now(timezone.utc).isoformat()}")
     lines.append(f"manifest_sha256: {digest}")
     path = out_dir / "manifest.txt"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_file(path, ("\n".join(lines) + "\n").encode())
     return path
 
 
@@ -235,8 +236,7 @@ def cmd_fit(args) -> int:
     fitted = AdmittanceCurve(frequencies=curve.frequencies[keep],
                              y=curve.y[keep])
     out = _ensure_out(args)
-    (out / "fit_report.txt").write_text(format_fit_report(rep),
-                                        encoding="utf-8", newline="\n")
+    write_file(out / "fit_report.txt", format_fit_report(rep).encode())
     export_fit_curve_csv(fitted, rep, out / "fit_curve.csv")
     config = {"s2p": args.s2p, "band": args.band, "topology": args.topology}
     extras = {"converged": "true" if rep.converged else "false",

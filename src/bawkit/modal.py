@@ -538,11 +538,21 @@ def _mode0_root(stack: Stack) -> tuple[int, float, float]:
     0 lies on that bound, and the walk goes to twice it, a limit the
     stack alone sets.  Raises ModeSearchError when mode 0 lies below
     _NEAR_ZERO_HZ (the walk meets a higher mode first, or no root) or
-    does not couple to the electrodes.
+    does not couple to the electrodes, and ConfigError when the limit is
+    not finite and > 0.
     """
     layers = _prufer_layers(stack)
-    limit = (len(layers) + 1) / (2.0 * sum(lay[0] for lay in layers))
-    root = next(_open_circuit_modes(stack, _NEAR_ZERO_HZ, limit), None)
+    span = sum(lay[0] for lay in layers)
+    limit = (len(layers) + 1) / (2.0 * span)
+    if not 0.0 < limit < math.inf:
+        longest = max(range(len(layers)), key=lambda i: layers[i][0])
+        raise ConfigError(
+            f"mode 0's walk limit (L + 1) / (2 sum t/v) is {limit!r} Hz, "
+            f"not finite and > 0: the layers' transit times sum to "
+            f"{span!r} s, the longest in layer "
+            f"{stack.layers[longest].material.name!r}")
+    root = next(_open_circuit_modes(stack, _NEAR_ZERO_HZ, limit, layers),
+                None)
     if root is None or root[0] != 0:
         raise ModeSearchError(f"mode 0 lies below {_NEAR_ZERO_HZ:g} Hz")
     if root[2] < _INERT_WEIGHT:

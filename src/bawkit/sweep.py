@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._csvfloat import write_csv
+from ._csvfloat import write_csv, write_file
 from .acoustic1d import FrequencyGrid, PhysicsError
 from .materials import ConfigError, Stack, derive_constants
 from .modal import ModeSearchError, find_modes
@@ -329,5 +329,4 @@ def render_heatmap(result: SweepResult, metric: str, mode: int, path) -> None:
     out.append(f'<text x="{lx + 18}" y="{m_top + lh}" {ax_font}>'
                f'{vmin:.3g}</text>')
     out.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(out) + "\n")
+    write_file(path, ("\n".join(out) + "\n").encode())

@@ -251,6 +251,25 @@ def test_simulate_reruns_byte_identical(stack_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_into_a_longer_run_gives_the_fresh_files(stack_file,
+                                                        tmp_path, capsys):
+    """Outputs are overwritten in place and cut to length: a 101-point run
+    into a 4001-point run's directory leaves the files of a 101-point run
+    into a fresh one, the manifest's timestamp aside."""
+    args = ["simulate", "--stack", str(stack_file), "--fmin", "3GHz",
+            "--fmax", "15GHz", "--backend", "both"]
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    for points, out in (("4001", reused), ("101", reused), ("101", fresh)):
+        assert cli.main(args + ["--points", points, "--out", str(out)]) == 0
+    names = sorted(p.name for p in fresh.iterdir())
+    assert sorted(p.name for p in reused.iterdir()) == names
+    for name in names:
+        if name != "manifest.txt":
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+    assert manifest_digest_lines(reused) == manifest_digest_lines(fresh)
+    capsys.readouterr()
+
+
 def test_simulate_calibrated_matches_library(stack_file, tmp_path, capsys):
     """--calibrate-fs is calibrate_piezo_stiffness over the run's band,
     followed by the uncalibrated pipeline on the scaled stack."""

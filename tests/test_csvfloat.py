@@ -1,6 +1,8 @@
 """format_rows against Python's own "%.17g", value by value."""
 
 import math
+import os
+import stat
 import struct
 import sys
 from fractions import Fraction
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bawkit._csvfloat import format_rows
+from bawkit._csvfloat import format_rows, write_csv, write_file
 
 MAX = sys.float_info.max
 TINY = sys.float_info.min          # smallest normal double
@@ -204,3 +206,60 @@ def test_blank_columns_beside_values():
     blank[:, 1] = True
     blank[4] = True
     check_rows(cols, blank)
+
+
+# -- write_file --------------------------------------------------------------
+
+@pytest.mark.parametrize("old, new", [(b"0123456789\n" * 30, b"short\n"),
+                                      (b"ab", b"longer bytes\n" * 40)],
+                         ids=["shorter", "longer"])
+def test_write_file_leaves_exactly_the_new_bytes(tmp_path, old, new):
+    path = tmp_path / "out.csv"
+    path.write_bytes(old)
+    write_file(path, new)
+    assert path.read_bytes() == new
+
+
+def test_write_file_keeps_the_inode_and_its_hard_links(tmp_path):
+    path, link = tmp_path / "out.csv", tmp_path / "link.csv"
+    path.write_bytes(b"old bytes\n" * 10)
+    os.link(path, link)
+    inode = path.stat().st_ino
+    write_file(path, b"new\n")
+    assert link.read_bytes() == b"new\n"
+    assert path.stat().st_ino == inode
+
+
+def test_write_file_keeps_the_mode_of_an_existing_file(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old\n")
+    path.chmod(0o600)
+    write_file(path, b"new\n")
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+
+def test_write_file_gives_a_new_file_the_umask_mode(tmp_path):
+    umask = os.umask(0o027)
+    try:
+        write_file(tmp_path / "new.csv", b"1\n")
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == 0o640
+
+
+def test_write_csv_opens_without_truncating(tmp_path, monkeypatch):
+    """ext4 forces a writeback on closing a file truncated to size 0, so
+    the writer opens with no O_TRUNC and cuts the file to length after."""
+    flags, os_open = [], os.open
+
+    def spy(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return os_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    path = tmp_path / "out.csv"
+    for n in (5, 2):
+        write_csv(path, "a,b", np.arange(2.0 * n).reshape(n, 2))
+    assert len(flags) == 2
+    assert not any(flag & os.O_TRUNC for flag in flags)
+    assert path.read_bytes() == b"a,b\n0,1\n2,3\n"

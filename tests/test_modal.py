@@ -743,6 +743,58 @@ def test_mode0_root_is_mode_0_or_raises(nominal, monkeypatch):
         modal._mode0_root(stack)
 
 
+def vanishing(stack, t):
+    """The stack with every layer t thick."""
+    for i in range(len(stack.layers)):
+        stack = stack.with_layer_thickness(i, t)
+    return stack
+
+
+def test_band_of_a_vanishing_stack_holds_no_root(nominal):
+    """With every layer 1e-300 m thick the phase at 3 GHz rounds to 0, an
+    integer below the first root's: no root, so the band holds none."""
+    stack = vanishing(nominal, 1e-300)
+    assert list(_open_circuit_modes(stack, 3e9, 15e9)) == []
+    with pytest.raises(ModeSearchError, match="no resonance found in band"):
+        find_modes(stack, FrequencyGrid(3e9, 15e9, 101), 3)
+
+
+def test_mode0_walk_of_a_vanishing_stack(nominal):
+    """Calibration's walk from 1 Hz over 1e-300 m layers starts on a phase
+    that rounds to 0 as well, and finds mode 0 1e291 times as high as over
+    1e-9 m layers, with the same coupling weight."""
+    number, f, weight = modal._mode0_root(vanishing(nominal, 1e-300))
+    _, f_ref, w_ref = modal._mode0_root(vanishing(nominal, 1e-9))
+    assert number == 0
+    assert f == pytest.approx(f_ref * 1e291, rel=1e-12)
+    assert weight == pytest.approx(w_ref, rel=1e-12)
+
+
+def test_layer_crossed_in_0_s_is_named(nominal):
+    """1e-320 m of AlSiCu takes a time that rounds to 0 s to cross: a
+    ConfigError naming that layer, in the mode search and in calibration,
+    and for a stack of such layers, which is too thin, not too thick."""
+    band = FrequencyGrid(3e9, 15e9, 101)
+    stack = nominal.with_layer_thickness(2, 1e-320)
+    with pytest.raises(ConfigError, match="^layer 'alsicu': its transit "):
+        find_modes(stack, band, 3)
+    for stack in (stack, vanishing(nominal, 1e-320)):
+        with pytest.raises(ConfigError, match=r"^layer '\w+': its transit "
+                           r"time t / v = 1e-320 m / .* is 0\.0 s, not "
+                           r"finite and > 0$"):
+            calibrate_piezo_stiffness(stack, 4.9e9, band)
+
+
+def test_mode0_walk_limit_must_be_finite(nominal):
+    """Over 1e-305 m layers the transit times sum to about 5e-309 s, and
+    the walk limit (L + 1) / (2 sum t/v) overflows: a ConfigError that
+    names the thin stack's longest-transit layer, not "too thick"."""
+    with pytest.raises(ConfigError, match=r"walk limit .* is inf Hz, not "
+                       r"finite and > 0: .* in layer 'pt'$"):
+        calibrate_piezo_stiffness(vanishing(nominal, 1e-305), 4.9e9,
+                                  CAL_BAND)
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
 @example(seed=0)
