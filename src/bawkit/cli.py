@@ -3,9 +3,11 @@
 Every file-producing subcommand also writes a manifest.txt recording the
 resolved configuration, input digests, and output names; the manifest's own
 digest excludes the timestamp line, so re-running with identical inputs
-reproduces it bit for bit.  Exit codes: 0 success, 2 configuration/usage/
-parse errors, 3 physics errors, 4 insufficient band coverage in a sweep,
-5 fit non-convergence (the report is still written).
+reproduces it bit for bit.  A run into a used directory first removes the
+outputs that the old manifest lists and that it will not write again.
+Exit codes: 0 success, 2 configuration/usage/parse errors, 3 physics
+errors, 4 insufficient band coverage in a sweep, 5 fit non-convergence
+(the report is still written).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import hashlib
 import math
 import pathlib
 import re
+import stat
 import sys
 from datetime import datetime, timezone
 
@@ -119,9 +122,34 @@ def write_manifest(out_dir: pathlib.Path, subcommand: str, config: dict,
     return path
 
 
-def _ensure_out(args) -> pathlib.Path:
+def _ensure_out(args, outputs: list[str]) -> pathlib.Path:
+    """Create --out and remove from it each file that its old manifest.txt
+    lists as an output and that is not in outputs, the names this run
+    writes, so that no earlier run's output survives beside the new
+    manifest.
+
+    Only a regular file under a plain name is removed: not a name with a
+    path separator, not '.', '..' or the manifest itself.  Nothing else in
+    the directory is touched.
+    """
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    try:
+        old = (out / "manifest.txt").read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError):
+        return out
+    for line in old.splitlines():
+        if not line.startswith("output: "):
+            continue
+        name = line[len("output: "):]
+        if (name in outputs or name in ("", ".", "..", "manifest.txt")
+                or pathlib.Path(name).name != name):
+            continue
+        try:
+            if stat.S_ISREG((out / name).lstat().st_mode):
+                (out / name).unlink()
+        except (OSError, ValueError):
+            continue
     return out
 
 
@@ -160,14 +188,11 @@ def cmd_simulate(args) -> int:
                      / np.abs(curves["mason"].y))
         extras["max_backend_rel_deviation"] = f"{dev:.17g}"
 
-    out = _ensure_out(args)
-    outputs = []
+    outputs = [f"spectrum_{b}.csv" for b in curves] + ["modes.csv"]
+    out = _ensure_out(args, outputs)
     for b, curve in curves.items():
-        name = f"spectrum_{b}.csv"
-        export_spectrum_csv(curve, out / name)
-        outputs.append(name)
+        export_spectrum_csv(curve, out / f"spectrum_{b}.csv")
     export_modes_csv(modes, out / "modes.csv")
-    outputs.append("modes.csv")
     write_manifest(out, "simulate", config, {"stack": stack_path}, outputs,
                    extras)
     return 0
@@ -202,15 +227,14 @@ def cmd_sweep(args) -> int:
                       band=band, ratio_min=lo, ratio_max=hi,
                       grid_n=args.grid, n_modes=args.modes)
     result = run_sweep(cfg, jobs=args.jobs)
-    out = _ensure_out(args)
-    outputs = ["sweep.csv"]
+    heatmaps = {f"heatmap_{metric}_mode{mode}.svg": (metric, mode)
+                for metric in HEATMAP_METRICS
+                for mode in range(cfg.n_modes)} if args.heatmaps else {}
+    outputs = ["sweep.csv", *heatmaps]
+    out = _ensure_out(args, outputs)
     export_sweep_csv(result, out / "sweep.csv")
-    if args.heatmaps:
-        for metric in HEATMAP_METRICS:
-            for mode in range(cfg.n_modes):
-                name = f"heatmap_{metric}_mode{mode}.svg"
-                render_heatmap(result, metric, mode, out / name)
-                outputs.append(name)
+    for name, (metric, mode) in heatmaps.items():
+        render_heatmap(result, metric, mode, out / name)
     config["masked_cells"] = int(result.mask.sum())
     for mode in range(cfg.n_modes):
         # masked cells hold NaN, so the best is over the cells that solved
@@ -235,14 +259,14 @@ def cmd_fit(args) -> int:
     keep = (curve.frequencies >= lo) & (curve.frequencies <= hi)
     fitted = AdmittanceCurve(frequencies=curve.frequencies[keep],
                              y=curve.y[keep])
-    out = _ensure_out(args)
+    outputs = ["fit_report.txt", "fit_curve.csv"]
+    out = _ensure_out(args, outputs)
     write_file(out / "fit_report.txt", format_fit_report(rep).encode())
     export_fit_curve_csv(fitted, rep, out / "fit_curve.csv")
     config = {"s2p": args.s2p, "band": args.band, "topology": args.topology}
     extras = {"converged": "true" if rep.converged else "false",
               "residual": f"{rep.residual:.17g}"}
-    write_manifest(out, "fit", config, {"s2p": s2p_path},
-                   ["fit_report.txt", "fit_curve.csv"], extras)
+    write_manifest(out, "fit", config, {"s2p": s2p_path}, outputs, extras)
     return 0 if rep.converged else 5
 
 

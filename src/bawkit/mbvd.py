@@ -11,16 +11,19 @@ these seeds the fixture fit takes 7 residual evaluations.  The solver is
 MINPACK's Levenberg-Marquardt `lmder` with the exact Jacobian, called
 through scipy's `leastsq`, which gives every supported scipy (>= 1.10)
 MINPACK's own variable scaling; `least_squares` passed diag = 1/x_scale
-before scipy 1.16.
+before scipy 1.16.  Each point the solver visits costs one circuit
+evaluation and at most one Jacobian, shared by every call at that point.
 
 Touchstone handling is a hand-rolled version-1 tokenizer because the
 acceptance contract requires line-numbered rejection of malformed files,
 which no off-the-shelf parser provides.  The data after the option line
-is split into tokens in one pass; line numbers are worked out only for an
-error.  Besides bad syntax it rejects a reference impedance that is not
-finite and > 0, an S value that is not finite, and a frequency that is
-not > 0 or not finite in Hz.  Frequencies move into Hz by an exact
-decimal shift, so they round once.
+is split into tokens in one pass, and one float() pass converts them all;
+line numbers are worked out only for an error.  Besides bad syntax it
+rejects a reference impedance that is not finite and > 0, an S value that
+is not finite, and a frequency that is not > 0 as written or not finite
+in Hz.  Frequencies move into Hz by an exact decimal shift of each token
+before that pass, so they round once.  The device admittance is the one
+Y entry its embedding uses, computed alone.
 """
 
 from __future__ import annotations
@@ -110,9 +113,12 @@ def parse_touchstone(text: str) -> TouchstoneData:
     order, case-insensitive, defaults GHZ/S/MA/50).  Data lines hold
     9 columns per frequency point -- f, then S11 S21 S12 S22 as value
     pairs -- and records may wrap across lines.  Errors carry the line
-    number they were detected on.  Rejected besides bad syntax: a
-    reference impedance that is not finite and > 0, a value that is not
-    finite, and a frequency that is not > 0 or is not finite in Hz.
+    number they were detected on, and quote the offending token as
+    written.  Rejected besides bad syntax: a reference impedance that is
+    not finite and > 0, a value that is not finite, and a frequency that
+    is not > 0 as written or is not finite in Hz.  Every frequency token
+    is rewritten as its literal in Hz (_hz_literal) and then converted in
+    the same single float() pass as the S values.
     """
     lines = text.splitlines()
 
@@ -162,7 +168,10 @@ def parse_touchstone(text: str) -> TouchstoneData:
             opt + 1, f"expected S-parameters, file declares {param!r}")
 
     # every line after the option line is data: tokenize them all at once
-    data = " ".join([ln.partition("!")[0] for ln in lines[opt + 1:]])
+    body = lines[opt + 1:]
+    data = " ".join(body)
+    if "!" in data:
+        data = " ".join([ln.partition("!")[0] for ln in body])
     again = option_line(opt + 1) if "#" in data else None
     if again is not None:
         raise TouchstoneError(again + 1, "duplicate option line")
@@ -182,8 +191,20 @@ def parse_touchstone(text: str) -> TouchstoneData:
             if index < 0:
                 return k + 1
 
+    # each frequency becomes its literal in Hz before the one float() pass,
+    # so it rounds once from its exact value in Hz; a plain ASCII decimal,
+    # nearly every token, is handled inline and _hz_literal takes the rest
+    exp = FREQUENCY_UNITS[unit]
+    in_hz = tokens
+    if exp:
+        suffix = f"e{exp}"
+        in_hz = tokens.copy()
+        in_hz[::9] = [tok + suffix if tok[-1] in "0123456789."
+                      and "e" not in tok and "E" not in tok
+                      else _hz_literal(tok, exp) for tok in tokens[::9]]
     try:
-        values = list(map(float, tokens))
+        rec = np.fromiter(map(float, in_hz), float,
+                          len(in_hz)).reshape(-1, 9)
     except ValueError:
         for k, tok in enumerate(tokens):
             try:
@@ -191,8 +212,8 @@ def parse_touchstone(text: str) -> TouchstoneData:
             except ValueError:
                 raise TouchstoneError(line_of(k), f"not a number: {tok!r}")
         raise
-    rec = np.array(values).reshape(-1, 9)
     n = rec.shape[0]
+    freqs = rec[:, 0].copy()
     a = rec[:, 1::2]
     b = rec[:, 2::2]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -203,27 +224,56 @@ def parse_touchstone(text: str) -> TouchstoneData:
         else:   # DB
             s_flat = 10.0 ** (a / 20.0) * np.exp(1j * np.deg2rad(b))
     bad = ~np.isfinite(rec)
-    bad[:, 0] |= rec[:, 0] <= 0
     # a DB magnitude above about 6165 dB overflows: where a finite pair
     # gives an S value that is not finite, the magnitude is at fault
     bad[:, 1::2] |= ~(np.isfinite(s_flat) | bad[:, 2::2])
+    # below 1e-300 Hz a frequency may have rounded to 0 as written
+    if bad.any() or not (freqs[0] >= 1e-300 and np.all(np.diff(freqs) > 0)):
+        _refuse(tokens, freqs, bad, unit, line_of)
+
+    # v1 two-port column order: S11, S21, S12, S22
+    s = s_flat[:, [0, 2, 1, 3]].reshape(n, 2, 2)
+    return TouchstoneData(frequencies=freqs, s=s, z0=z0, unit=unit,
+                          data_format=fmt)
+
+
+def _hz_literal(tok: str, exp: int) -> str:
+    """A frequency token rewritten as its literal in Hz, exp decades up.
+
+    A decimal literal gets the exponent appended, or its exponent shifted
+    (_shift_exponent, whose repr() float() reads back exactly), so float()
+    of the result rounds its exact value in Hz once.  Any other token is
+    returned as written, so float() refuses it, or reads inf or nan, as it
+    would the token.
+    """
+    if "e" not in tok and "E" not in tok:
+        last = tok[-1]
+        return tok + f"e{exp}" if last.isdecimal() or last == "." else tok
+    try:
+        float(tok)
+        return repr(_shift_exponent(tok, exp))
+    except (ValueError, OverflowError):
+        # not a literal, or an exponent float() reads as +-inf, which
+        # makes the token 0 or inf as written
+        return tok
+
+
+def _refuse(tokens: list, freqs: np.ndarray, bad: np.ndarray, unit: str,
+            line_of) -> None:
+    """Raise parse_touchstone's first error, if its records hold one.
+
+    tokens are the data tokens as written and freqs the frequencies in
+    Hz; bad flags the values that are not finite, frequencies aside.  A
+    frequency must be finite and > 0 as written, then finite in Hz, and
+    the frequencies strictly increasing.
+    """
+    as_written = np.array([float(tok) for tok in tokens[::9]])
+    bad[:, 0] = ~np.isfinite(as_written) | (as_written <= 0)
     if bad.any():
         k = int(np.argmax(bad))
         what = "a frequency must be finite and > 0" if k % 9 == 0 \
             else "an S value must be finite"
         raise TouchstoneError(line_of(k), f"{what}, got {tokens[k]!r}")
-
-    # Shift each frequency (a finite decimal literal by now) into Hz in
-    # decimal, so float() rounds its exact value in Hz once: append the
-    # unit's exponent to a token that has none, else rewrite its exponent.
-    exp = FREQUENCY_UNITS[unit]
-    if exp == 0:
-        freqs = rec[:, 0].copy()
-    else:
-        suffix = f"e{exp}"
-        freqs = np.array([float(tok + suffix) if "e" not in tok
-                          and "E" not in tok else _shift_exponent(tok, exp)
-                          for tok in tokens[::9]])
     if not np.isfinite(freqs).all():
         k = int(np.argmin(np.isfinite(freqs)))
         raise TouchstoneError(
@@ -234,12 +284,7 @@ def parse_touchstone(text: str) -> TouchstoneData:
         k = int(np.argmin(rising)) + 1
         raise TouchstoneError(
             line_of(9 * k), f"frequencies must be strictly increasing "
-            f"({rec[k, 0]:g} after {rec[k - 1, 0]:g})")
-
-    # v1 two-port column order: S11, S21, S12, S22
-    s = s_flat[:, [0, 2, 1, 3]].reshape(n, 2, 2)
-    return TouchstoneData(frequencies=freqs, s=s, z0=z0, unit=unit,
-                          data_format=fmt)
+            f"({as_written[k]:g} after {as_written[k - 1]:g})")
 
 
 def _shift_point(d: Decimal, exp: int) -> Decimal:
@@ -290,25 +335,38 @@ def emit_touchstone(data: TouchstoneData) -> str:
     return "\n".join(out) + "\n"
 
 
-def s_to_y(data: TouchstoneData) -> np.ndarray:
-    """Two-port S to Y conversion; returns (n, 2, 2) complex admittances."""
+def _s_columns(data: TouchstoneData):
+    """S11, S12, S21, S22, delta = (1 + S11)(1 + S22) - S12 S21, and
+    delta * z0, the denominator of every Y entry."""
     s = data.s
     s11, s12 = s[:, 0, 0], s[:, 0, 1]
     s21, s22 = s[:, 1, 0], s[:, 1, 1]
-    y = np.empty_like(s)
     with np.errstate(all="ignore"):
         delta = (1.0 + s11) * (1.0 + s22) - s12 * s21
-        dz = delta * data.z0
+        return s11, s12, s21, s22, delta, delta * data.z0
+
+
+def _check_conversion(data: TouchstoneData, delta: np.ndarray,
+                      finite: np.ndarray) -> None:
+    """Raise at the first singular point, then at the first whose Y is not
+    finite (finite S values whose products overflow)."""
+    for bad, why in ((np.abs(delta) < 1e-30, "singular"),
+                     (~finite, "overflows")):
+        if np.any(bad):
+            f_bad = data.frequencies[np.argmax(bad)]
+            raise ConversionError(f"S->Y conversion {why} at {f_bad:.9g} Hz")
+
+
+def s_to_y(data: TouchstoneData) -> np.ndarray:
+    """Two-port S to Y conversion; returns (n, 2, 2) complex admittances."""
+    s11, s12, s21, s22, delta, dz = _s_columns(data)
+    y = np.empty_like(data.s)
+    with np.errstate(all="ignore"):
         y[:, 0, 0] = ((1.0 - s11) * (1.0 + s22) + s12 * s21) / dz
         y[:, 0, 1] = -2.0 * s12 / dz
         y[:, 1, 0] = -2.0 * s21 / dz
         y[:, 1, 1] = ((1.0 + s11) * (1.0 - s22) + s12 * s21) / dz
-    # finite S values whose products overflow give a non-finite Y
-    for bad, why in ((np.abs(delta) < 1e-30, "singular"),
-                     (~np.isfinite(y).all(axis=(1, 2)), "overflows")):
-        if np.any(bad):
-            f_bad = data.frequencies[np.argmax(bad)]
-            raise ConversionError(f"S->Y conversion {why} at {f_bad:.9g} Hz")
+    _check_conversion(data, delta, np.isfinite(y).all(axis=(1, 2)))
     return y
 
 
@@ -318,12 +376,20 @@ def transmission_admittance(data: TouchstoneData,
 
     series (default): device bridges port 1 to port 2, Y_dev = -Y12.
     shunt: device hangs off port 1, Y_dev = Y11.
+    Only that entry is computed, bit for bit as s_to_y computes it, and
+    only it has to be finite: an overflow in an entry the device does not
+    use raises nothing, while a singular point still raises.
     """
     if topology not in TOPOLOGIES:
         raise ConfigError(
             f"topology must be one of {TOPOLOGIES}, got {topology!r}")
-    y = s_to_y(data)
-    y_dev = -y[:, 0, 1] if topology == "series" else y[:, 0, 0]
+    s11, s12, s21, s22, delta, dz = _s_columns(data)
+    with np.errstate(all="ignore"):
+        if topology == "series":
+            y_dev = -(-2.0 * s12 / dz)      # s_to_y's Y12, negated
+        else:
+            y_dev = ((1.0 - s11) * (1.0 + s22) + s12 * s21) / dz
+    _check_conversion(data, delta, np.isfinite(y_dev))
     return AdmittanceCurve(frequencies=data.frequencies, y=y_dev)
 
 
@@ -351,11 +417,11 @@ class MbvdParams:
                          self.r0, self.rs])
 
 
-def _circuit(omega, rm, lm, cm, c0, r0, rs):
+def _circuit(jw, rm, lm, cm, c0, r0, rs):
     """Motional and static branch impedances, their parallel admittance,
-    and the admittance behind rs, at angular frequencies omega."""
-    zm = rm + 1j * omega * lm + 1.0 / (1j * omega * cm)
-    zs = r0 + 1.0 / (1j * omega * c0)
+    and the admittance behind rs, at jw = 1j * omega."""
+    zm = rm + jw * lm + 1.0 / (jw * cm)
+    zs = r0 + 1.0 / (jw * c0)
     y_par = 1.0 / zm + 1.0 / zs
     return zm, zs, y_par, 1.0 / (rs + 1.0 / y_par)
 
@@ -367,7 +433,8 @@ def mbvd_admittance(p: MbvdParams, f):
     kernels' acoustic1d._kernel_frequencies check).  Returns a complex
     for scalar f, else an array.
     """
-    y = _circuit(2.0 * math.pi * _kernel_frequencies(f), *p.as_vector())[3]
+    jw = 1j * (2.0 * math.pi * _kernel_frequencies(f))
+    y = _circuit(jw, *p.as_vector())[3]
     return complex(y[0]) if np.ndim(f) == 0 else y
 
 
@@ -400,6 +467,15 @@ def report(p: MbvdParams, residual: float = 0.0, n_iterations: int = 0,
                      converged=converged)
 
 
+def _median(v: np.ndarray) -> float:
+    """np.median's value for NaN-free v, the middle of the sorted values or
+    the mean (a + b) / 2 of the two middle ones, without its overhead:
+    np.median takes about six times as long on a seed's 150 samples."""
+    v = np.sort(v)
+    m = v.size // 2
+    return float(v[m] if v.size % 2 else (v[m - 1] + v[m]) / 2.0)
+
+
 def _seed_parameters(freqs: np.ndarray, y: np.ndarray) -> MbvdParams:
     """Closed-form starting point from the conductance peak geometry.
 
@@ -424,21 +500,50 @@ def _seed_parameters(freqs: np.ndarray, y: np.ndarray) -> MbvdParams:
     # off-resonance samples: outer quarters of the band
     n = freqs.size
     edge = max(n // 4, 1)
-    sel = np.r_[0:edge, n - edge:n]
-    y_off = y[sel]
-    c0 = float(np.median(y_off.imag / (2.0 * math.pi * freqs[sel])))
+    y_off = np.concatenate((y[:edge], y[n - edge:]))
+    f_off = np.concatenate((freqs[:edge], freqs[n - edge:]))
+    c0 = _median(y_off.imag / (2.0 * math.pi * f_off))
     if not c0 > 0:
-        c0 = float(np.median(np.abs(y_off)) / (2.0 * math.pi * fs))
+        c0 = float(_median(np.abs(y_off)) / (2.0 * math.pi * fs))
     cm = c0 * ((fp / fs) ** 2 - 1.0)
     if not cm > 0:
         cm = 0.02 * c0
     lm = 1.0 / ((2.0 * math.pi * fs) ** 2 * cm)
     g_peak = float(re_y[i_fs])
     rm = 1.0 / g_peak if g_peak > 0 else 1.0
-    r_off = 0.5 * float(np.median((1.0 / y_off).real))
+    r_off = 0.5 * _median((1.0 / y_off).real)
     if not r_off > 0:
         r_off = 1e-3
     return MbvdParams(rm=rm, lm=lm, cm=cm, c0=c0, r0=r_off, rs=r_off)
+
+
+def _jacobian(jw, minus_jw, weight, p, circuit) -> np.ndarray:
+    """d(weighted residual)/d(ln p) as a read-only (6, 2n) array, leastsq's
+    col_deriv=1 layout: row k holds the derivatives by ln p[k] of the n
+    real residuals, then of the n imaginary ones.
+
+    dY/d(ln p) chains through rs and the parallel pair.  High-Q lines make
+    finite differences too noisy for LM to converge, so it is exact.  The
+    array is cached per x and scipy copies it into MINPACK's buffer; it is
+    read-only so that a scipy which wrote into it instead would fail.
+    """
+    rm, lm, cm, c0, r0, rs = p
+    zm, zs, y_par, y_model = circuit
+    zm2 = zm ** 2
+    zs2 = zs ** 2
+    outer = -y_model ** 2
+    inner = outer * (-1.0 / y_par ** 2)
+    grad = np.empty((6, jw.size), dtype=complex)
+    grad[0] = inner * (-1.0 / zm2) * rm
+    grad[1] = inner * (minus_jw / zm2) * lm
+    grad[2] = inner * (1.0 / (jw * cm * zm2))
+    grad[3] = inner * (1.0 / (jw * c0 * zs2))
+    grad[4] = inner * (-1.0 / zs2) * r0
+    grad[5] = outer * rs
+    grad *= weight
+    jac = np.concatenate([grad.real, grad.imag], axis=1)
+    jac.flags.writeable = False
+    return jac
 
 
 def fit_mbvd(curve: AdmittanceCurve,
@@ -449,8 +554,11 @@ def fit_mbvd(curve: AdmittanceCurve,
     with MINPACK's Levenberg-Marquardt `lmder` (scipy's `leastsq`, exact
     Jacobian, ftol = xtol = gtol = 1e-14, at most 20000 evaluations),
     started from closed-form seeds.  n_iterations is MINPACK's count of
-    residual evaluations.  Non-convergence is reported through the flag,
-    never raised.  Requires >= 50 points in the band, each with a finite
+    residual evaluations.  The residual and the Jacobian at one point
+    share one circuit evaluation, and the Jacobian is formed once per
+    point: leastsq's check call at the start and MINPACK's first call
+    share it.  Non-convergence is reported through the flag, never
+    raised.  Requires >= 50 points in the band, each with a finite
     non-zero Y, and an interior conductance peak.
     """
     freqs = curve.frequencies
@@ -479,41 +587,39 @@ def fit_mbvd(curve: AdmittanceCurve,
     x0 = np.log(np.maximum(_seed_parameters(freqs, y).as_vector(), 1e-30))
     weight = 1.0 / np.abs(y)
     omega = 2.0 * math.pi * freqs
+    jw = 1j * omega
+    # not -jw, whose real parts are -0.0: the bits of every fit stay
+    minus_jw = -1j * omega
 
     def values(x: np.ndarray) -> np.ndarray:
-        # clamp keeps exp() finite if the optimizer wanders
-        return np.exp(np.clip(x, -115.0, 115.0))
+        # clamp keeps exp() finite if the optimizer wanders (np.clip's
+        # value, without its wrapper's cost on six numbers)
+        return np.exp(np.minimum(np.maximum(x, -115.0), 115.0))
 
-    last: list = [None, None, None]     # x, values(x), _circuit at x
+    # the circuit and the Jacobian at the last x, keyed by its bytes because
+    # MINPACK may reuse its buffer: the residual and the Jacobian at one x
+    # share a circuit, and leastsq's check call at x0 and MINPACK's first
+    # Jacobian share one Jacobian
+    last: dict = {"key": None}
 
-    def circuit(x: np.ndarray):
-        # the residual and the Jacobian at one x share a circuit; x is
-        # compared by value because MINPACK may reuse its buffer
-        if not np.array_equal(x, last[0]):
+    def circuit(x: np.ndarray) -> dict:
+        key = x.tobytes()
+        if key != last["key"]:
             p = values(x)
-            last[:] = x.copy(), p, _circuit(omega, *p)
-        return last[1], last[2]
+            last.clear()
+            last.update(key=key, p=p, circuit=_circuit(jw, *p))
+        return last
 
     def residuals(x: np.ndarray) -> np.ndarray:
-        diff = (circuit(x)[1][3] - y) * weight
+        diff = (circuit(x)["circuit"][3] - y) * weight
         return np.concatenate([diff.real, diff.imag])
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        # dY/d(ln p): chain through rs and the parallel pair.  High-Q
-        # lines make finite differences too noisy for LM to converge, so
-        # the Jacobian is exact.
-        (rm, lm, cm, c0, r0, rs), (zm, zs, y_par, y_model) = circuit(x)
-        outer = -y_model ** 2
-        inner = outer * (-1.0 / y_par ** 2)
-        grad = np.empty((6, freqs.size), dtype=complex)
-        grad[0] = inner * (-1.0 / zm ** 2) * rm
-        grad[1] = inner * (-1j * omega / zm ** 2) * lm
-        grad[2] = inner * (1.0 / (1j * omega * cm * zm ** 2))
-        grad[3] = inner * (1.0 / (1j * omega * c0 * zs ** 2))
-        grad[4] = inner * (-1.0 / zs ** 2) * r0
-        grad[5] = outer * rs
-        grad *= weight
-        return np.concatenate([grad.real, grad.imag], axis=1).T
+        at = circuit(x)
+        if "jacobian" not in at:
+            at["jacobian"] = _jacobian(jw, minus_jw, weight, at["p"],
+                                       at["circuit"])
+        return at["jacobian"]
 
     # imported here so that only a fit pays for loading scipy.optimize,
     # which would otherwise be most of the time of `import bawkit`
@@ -527,8 +633,9 @@ def fit_mbvd(curve: AdmittanceCurve,
         warnings.filterwarnings("ignore", category=RuntimeWarning,
                                 module=r"scipy\.optimize\._minpack_py")
         x, _, info, _, ier = leastsq(residuals, x0, Dfun=jacobian,
-                                     full_output=True, ftol=1e-14,
-                                     xtol=1e-14, gtol=1e-14, maxfev=20000)
+                                     full_output=True, col_deriv=1,
+                                     ftol=1e-14, xtol=1e-14, gtol=1e-14,
+                                     maxfev=20000)
     rm, lm, cm, c0, r0, rs = values(x)
     p_fit = MbvdParams(rm=float(rm), lm=float(lm), cm=float(cm),
                        c0=float(c0), r0=float(r0), rs=float(rs))

@@ -42,7 +42,7 @@ from ._csvfloat import write_csv
 from .acoustic1d import EnergyPartition, FrequencyGrid, \
     _open_circuit_modes, _open_circuit_theta, _prufer_layers, \
     admittance_bvp, admittance_mason, strain_energy
-from .materials import ConfigError, Stack
+from .materials import ConfigError, Stack, derive_constants
 
 # Y is sampled on a circle of _CIRCLE_POINTS points, radius
 # _CIRCLE_RADIUS * f, around each estimate f.  The circle must stay well
@@ -441,7 +441,20 @@ def _search(stack: Stack, roots: list, backend: str, rel_tol: float):
     whose lossy fs or fp has no root in its bracket is coupling-null: its
     coupling lies so far below 1/Qm that |Y| has no minimum.  Its fs and
     fp are the lossless pair instead.
+
+    Raises ConfigError, before any kernel call, when (2 pi f_oc |C0|)^2
+    is not finite at the highest root: Y ~ j omega C0 there, and the
+    search squares |Y|.  Only layers far thinner than an atom put a root
+    so high.
     """
+    f_top = max(root[1] for root in roots)
+    y_top = 2.0 * math.pi * f_top * abs(derive_constants(stack).c0)
+    if not math.isfinite(y_top * y_top):
+        thinnest = min(stack.layers, key=lambda lay: lay.thickness)
+        raise ConfigError(
+            f"the open-circuit root at {f_top:.6g} Hz puts (2 pi f |C0|)^2 "
+            f"past the double range: the layers are too thin, the thinnest "
+            f"{thinnest.material.name!r} at {thinnest.thickness!r} m")
     numbers, f_oc, weight = (np.array(v) for v in zip(*roots))
     evaluate = _kernel(stack, backend)
     r = _CIRCLE_RADIUS * f_oc

@@ -270,6 +270,54 @@ def test_simulate_into_a_longer_run_gives_the_fresh_files(stack_file,
     capsys.readouterr()
 
 
+def test_rerun_removes_the_outputs_it_does_not_write(stack_file, tmp_path,
+                                                     capsys):
+    """A bvp run into a directory of a run of both backends leaves the
+    files of a bvp run into a fresh one: spectrum_mason.csv, listed by the
+    old manifest, goes.  A file the manifest does not list stays, and so
+    does one named by a crafted `output:` line outside the directory."""
+    args = ["simulate", "--stack", str(stack_file), "--fmin", "3GHz",
+            "--fmax", "15GHz", "--points", "101"]
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert cli.main(args + ["--backend", "both", "--out", str(reused)]) == 0
+    assert (reused / "spectrum_mason.csv").is_file()
+    (reused / "notes.txt").write_text("mine")
+    (tmp_path / "outside.csv").write_text("mine too")
+    with open(reused / "manifest.txt", "a") as manifest:
+        manifest.write("output: ../outside.csv\noutput: ..\n"
+                       "output: manifest.txt\noutput: notes.txt/\n")
+    for out in (reused, fresh):
+        assert cli.main(args + ["--backend", "bvp", "--out", str(out)]) == 0
+    assert not (reused / "spectrum_mason.csv").exists()
+    assert (reused / "notes.txt").read_text() == "mine"
+    assert (tmp_path / "outside.csv").read_text() == "mine too"
+    names = sorted(p.name for p in fresh.iterdir())
+    assert sorted(p.name for p in reused.iterdir()) == sorted(
+        names + ["notes.txt"])
+    for name in names:
+        if name != "manifest.txt":
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+    assert manifest_digest_lines(reused) == manifest_digest_lines(fresh)
+    capsys.readouterr()
+
+
+def test_rerun_keeps_a_listed_name_that_is_no_regular_file(tmp_path, capsys):
+    """An `output:` name that is now a directory or a symbolic link is
+    left as it is; the link's target is untouched."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "old_dir").mkdir()
+    target = tmp_path / "target.txt"
+    target.write_text("kept")
+    (out / "old_link").symlink_to(target)
+    (out / "manifest.txt").write_text("output: old_dir\noutput: old_link\n")
+    assert cli.main(["fit", "--s2p", fixture_path(), "--band", "12.5:14",
+                     "--out", str(out)]) == 0
+    assert (out / "old_dir").is_dir()
+    assert (out / "old_link").is_symlink() and target.read_text() == "kept"
+    capsys.readouterr()
+
+
 def test_simulate_calibrated_matches_library(stack_file, tmp_path, capsys):
     """--calibrate-fs is calibrate_piezo_stiffness over the run's band,
     followed by the uncalibrated pipeline on the scaled stack."""

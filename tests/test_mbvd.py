@@ -166,6 +166,42 @@ def test_non_finite_values_name_their_line(row, col, token):
     assert token in str(err.value)
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({(2, 0): "inf"}, "line 4: a frequency must be finite and > 0, got 'inf'"),
+    ({(2, 0): "nan"}, "line 4: a frequency must be finite and > 0, got 'nan'"),
+    ({(3, 0): "1e300"}, "line 5: frequency 1e300 GHZ is not finite in Hz"),
+    ({(3, 0): "13.05"}, "line 5: frequencies must be strictly increasing "
+                        "(13.05 after 13.1)"),
+    ({(2, 0): "13.1x"}, "line 4: not a number: '13.1x'"),
+    # float() reads 1.0, but a literal's exponent takes no point
+    ({(2, 0): "1.31e1.0"}, "line 4: not a number: '1.31e1.0'"),
+    # an exponent that float() reads as inf makes the token inf as written
+    ({(2, 0): "1e" + "9" * 400},
+     f"line 4: a frequency must be finite and > 0, got '1e{'9' * 400}'"),
+    # 1e-330 rounds to 0 as written, though 1e-321 Hz would not
+    ({(0, 0): "1e-330"},
+     "line 2: a frequency must be finite and > 0, got '1e-330'"),
+    # a value that is not finite as written is reported before a frequency
+    # that overflows only in Hz, and either before a decreasing pair
+    ({(3, 0): "1e300", (2, 5): "nan"},
+     "line 4: an S value must be finite, got 'nan'"),
+    ({(2, 0): "1e300", (3, 0): "13.05"},
+     "line 4: frequency 1e300 GHZ is not finite in Hz"),
+], ids=["inf", "nan", "not-finite-in-hz", "decreasing", "not-a-number",
+        "dotted-exponent", "huge-exponent", "zero-as-written",
+        "s-value-first", "hz-before-order"])
+def test_frequency_errors_quote_the_token_as_written(changes, message):
+    """Each frequency error of a GHZ file quotes the token as written and
+    the values as written, not their shifts into Hz."""
+    rows = [list(r) for r in RECORDS]
+    for (row, col), token in changes.items():
+        rows[row][col] = token
+    text = "# GHZ S RI R 50\n" + "".join(" ".join(r) + "\n" for r in rows)
+    with pytest.raises(TouchstoneError) as err:
+        parse_touchstone(text)
+    assert str(err.value) == message
+
+
 def test_db_magnitude_overflow_names_its_line():
     """10 ** (dB / 20) overflows above about 6165 dB: the magnitude token
     is reported on its own line, wrapped records included.  A magnitude
@@ -228,17 +264,26 @@ def float_literals(draw):
 @example(token="1e-" + "0" * 5000 + "1", unit="GHZ")
 @example(token="0.1_5e+0_3", unit="KHZ")
 @example(token="9.99e299", unit="GHZ")
+@example(token="1e" + "0" * 5000 + "3", unit="MHZ")
+@example(token="0." + "0" * 330 + "1", unit="GHZ")
+@example(token="\u0661\u0663.\u0665", unit="GHZ")     # Arabic-Indic 13.5
+@example(token="\u0661\u0663e-\u0661", unit="KHZ")
 def test_frequency_shift_is_the_exact_decimal_shift(token, unit):
     """A frequency rounds once from its exact value in Hz, as through
-    Decimal; one that is not finite and > 0 in Hz is refused."""
+    Decimal; one that is not > 0 as written, or not finite in Hz, is
+    refused.  The same holds for the token wrapped into a one-record file
+    between comments."""
     exact = float(_shift_point(Decimal(token), FREQUENCY_UNITS[unit]))
-    text = f"# {unit} S RI R 50\n{token} 0 0 0 0 0 0 0 0\n"
-    if float(token) > 0 and exact < math.inf:
-        assert parse_touchstone(text).frequencies[0] == exact
-    else:
-        with pytest.raises(TouchstoneError) as err:
-            parse_touchstone(text)
-        assert err.value.line == 2
+    texts = {f"# {unit} S RI R 50\n{token} 0 0 0 0 0 0 0 0\n": 2,
+             f"! head\n# {unit} S RI R 50 ! unit\n{token} ! f\n"
+             "0 0 0 0 0 0 0 0 ! S\n": 3}
+    for text, line in texts.items():
+        if float(token) > 0 and exact < math.inf:
+            assert parse_touchstone(text).frequencies[0] == exact
+        else:
+            with pytest.raises(TouchstoneError) as err:
+                parse_touchstone(text)
+            assert err.value.line == line
 
 
 def test_parse_rejects_non_s_parameters():
@@ -323,6 +368,56 @@ def test_transmission_admittance_topologies():
     assert shunt.y[0] == y[0, 0, 0]
     with pytest.raises(ConfigError):
         transmission_admittance(data, topology="bridge")
+
+
+def device_entry(y, topology):
+    return -y[:, 0, 1] if topology == "series" else y[:, 0, 0]
+
+
+@pytest.mark.parametrize("topology", ["series", "shunt"])
+def test_transmission_admittance_is_the_s_to_y_entry(topology):
+    """The device admittance is s_to_y's entry, bit for bit, on a random
+    two-port and on the fixture; a singular point still raises."""
+    rng = np.random.default_rng(17)
+    n = 64
+    s = 0.7 * (rng.uniform(-1, 1, (n, 2, 2))
+               + 1j * rng.uniform(-1, 1, (n, 2, 2)))
+    for data in (TouchstoneData(frequencies=np.linspace(1e9, 2e9, n), s=s,
+                                z0=37.5),
+                 parse_touchstone(fixture_text())):
+        y = transmission_admittance(data, topology=topology).y
+        assert y.tobytes() == device_entry(s_to_y(data), topology).tobytes()
+    through = np.zeros((1, 2, 2), dtype=complex)
+    through[0, 0, 1] = through[0, 1, 0] = 1.0
+    data = TouchstoneData(frequencies=np.array([13e9]), s=through, z0=50.0)
+    with pytest.raises(ConversionError, match=r"singular at 1\.3e\+10 Hz"):
+        transmission_admittance(data, topology=topology)
+
+
+@pytest.mark.parametrize("big, topology, raises", [
+    ((1, 0), "series", False), ((1, 0), "shunt", False),
+    ((0, 1), "series", True), ((0, 1), "shunt", False),
+])
+def test_transmission_admittance_checks_only_its_entry(big, topology,
+                                                       raises):
+    """S21 = 1e308 overflows Y21 alone, and S12 = 1e308 Y12 alone: s_to_y
+    refuses both, while the device admittance raises only when its own
+    entry overflows.  Otherwise it is the entry s_to_y gives with the
+    offending S value set to 0, which no other entry uses here."""
+    s = np.zeros((2, 2, 2), dtype=complex)
+    s[1][big] = 1e308
+    data = TouchstoneData(frequencies=np.array([12e9, 13e9]), s=s, z0=50.0)
+    overflows = r"overflows at 1\.3e\+10 Hz"
+    with pytest.raises(ConversionError, match=overflows):
+        s_to_y(data)
+    if raises:
+        with pytest.raises(ConversionError, match=overflows):
+            transmission_admittance(data, topology=topology)
+        return
+    y = transmission_admittance(data, topology=topology).y
+    clean = TouchstoneData(frequencies=data.frequencies,
+                           s=np.zeros((2, 2, 2), dtype=complex), z0=50.0)
+    assert y.tobytes() == device_entry(s_to_y(clean), topology).tobytes()
 
 
 # -- mbvd_admittance ---------------------------------------------------------
@@ -698,6 +793,44 @@ def test_fit_evaluates_the_circuit_once_per_point(monkeypatch):
     rep = fit_mbvd(curve, band=(12.5e9, 14.0e9))
     assert rep.converged and rep.n_iterations > 1
     assert len(calls) == rep.n_iterations
+
+
+def test_fit_forms_the_jacobian_once_per_point(monkeypatch):
+    """Every distinct x gets one Jacobian: leastsq's check call at x0 and
+    MINPACK's first Jacobian call there share it.  scipy copies it into
+    MINPACK's buffer, so it is handed over read-only."""
+    import scipy.optimize
+
+    leastsq = scipy.optimize.leastsq
+    calls = []
+
+    def spying(func, x0, Dfun, **kwargs):
+        def dfun(x):
+            jac = Dfun(x)
+            calls.append((x.tobytes(), jac))
+            return jac
+        return leastsq(func, x0, Dfun=dfun, **kwargs)
+
+    formed = []
+    jacobian = mbvd._jacobian
+
+    def counting(*args):
+        formed.append(args)
+        return jacobian(*args)
+
+    monkeypatch.setattr(scipy.optimize, "leastsq", spying)
+    monkeypatch.setattr(mbvd, "_jacobian", counting)
+    curve = transmission_admittance(parse_touchstone(fixture_text()))
+    rep = fit_mbvd(curve, band=(12.5e9, 14.0e9))
+    assert rep.converged
+    points = [x for x, _ in calls]
+    assert len(formed) == len(set(points)) == len(points) - 1
+    assert points[0] == points[1] and calls[0][1] is calls[1][1]
+    for _, jac in calls:
+        assert jac.shape == (6, 2 * curve.frequencies[
+            (curve.frequencies >= 12.5e9)
+            & (curve.frequencies <= 14.0e9)].size)
+        assert not jac.flags.writeable and jac.flags.c_contiguous
 
 
 def relative_rms(rep, curve, band=None):

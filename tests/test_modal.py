@@ -795,6 +795,30 @@ def test_mode0_walk_limit_must_be_finite(nominal):
                                   CAL_BAND)
 
 
+@pytest.mark.parametrize("t", [1e-100, 1e-300])
+def test_root_too_high_for_its_admittance_is_refused(nominal, t,
+                                                     monkeypatch):
+    """Over 1e-100 m layers mode 0 lies near 1e103 Hz, and over 1e-300 m
+    near 1e303 Hz, where |Y| ~ 2 pi f |C0| squares past the double range:
+    a ConfigError naming the root and the thinnest layer, before any
+    kernel call, from calibration and from find_modes over a band that
+    holds the root."""
+    stack = vanishing(nominal, t)
+    f_root = modal._mode0_root(stack)[1]
+    match = (r"^the open-circuit root at \S+ Hz puts \(2 pi f \|C0\|\)\^2 "
+             r"past the double range: the layers are too thin, the "
+             rf"thinnest 'pt' at {t!r} m$")
+
+    def no_kernel(*args):
+        raise AssertionError("a kernel was built")
+
+    monkeypatch.setattr(modal, "_kernel", no_kernel)
+    with pytest.raises(ConfigError, match=match):
+        calibrate_piezo_stiffness(stack, 4.9e9, CAL_BAND)
+    with pytest.raises(ConfigError, match=match):
+        find_modes(stack, FrequencyGrid(0.5 * f_root, 2.0 * f_root, 11), 1)
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
 @example(seed=0)
