@@ -95,30 +95,45 @@ def parse_ratio_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _sha256(path: pathlib.Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _read_input(path: pathlib.Path) -> tuple[str, str]:
+    """The text of an input file and the sha256 of its bytes, from one
+    read.  The text is the bytes decoded as UTF-8, a leading byte-order
+    mark dropped; bytes that do not decode raise ConfigError."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte "
+                          f"offset {exc.start}") from None
+    return text.removeprefix("\ufeff"), hashlib.sha256(data).hexdigest()
 
 
 def write_manifest(out_dir: pathlib.Path, subcommand: str, config: dict,
-                   inputs: dict[str, pathlib.Path], outputs: list[str],
+                   inputs: dict[str, tuple[pathlib.Path, str]],
+                   outputs: list[str],
                    extras: dict | None = None) -> pathlib.Path:
-    """Emit manifest.txt; its digest covers every line except the timestamp."""
+    """Emit manifest.txt; its digest covers every line except the timestamp.
+
+    inputs maps each name to (path, sha256).  A path that is not UTF-8 is
+    written as the bytes the file system holds (surrogateescape)."""
     lines = [f"subcommand: {subcommand}", f"version: {__version__}"]
     for key in sorted(config):
         lines.append(f"config.{key}: {config[key]}")
     for name in sorted(inputs):
-        p = inputs[name]
+        p, digest = inputs[name]
         lines.append(f"input.{name}.path: {p}")
-        lines.append(f"input.{name}.sha256: {_sha256(p)}")
+        lines.append(f"input.{name}.sha256: {digest}")
     for name in sorted(outputs):
         lines.append(f"output: {name}")
     for key in sorted(extras or {}):
         lines.append(f"{key}: {extras[key]}")
-    digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+    digest = hashlib.sha256(("\n".join(lines) + "\n").encode(
+        errors="surrogateescape")).hexdigest()
     lines.append(f"timestamp: {datetime.now(timezone.utc).isoformat()}")
     lines.append(f"manifest_sha256: {digest}")
     path = out_dir / "manifest.txt"
-    write_file(path, ("\n".join(lines) + "\n").encode())
+    write_file(path, ("\n".join(lines) + "\n").encode(
+        errors="surrogateescape"))
     return path
 
 
@@ -135,8 +150,9 @@ def _ensure_out(args, outputs: list[str]) -> pathlib.Path:
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        old = (out / "manifest.txt").read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError):
+        old = (out / "manifest.txt").read_bytes().decode(
+            errors="surrogateescape")
+    except OSError:
         return out
     for line in old.splitlines():
         if not line.startswith("output: "):
@@ -168,7 +184,8 @@ def _calibrate(stack: Stack, band: FrequencyGrid, args, config: dict,
 
 def cmd_simulate(args) -> int:
     stack_path = pathlib.Path(args.stack)
-    stack = load_stack(stack_path.read_text(encoding="utf-8"))
+    text, digest = _read_input(stack_path)
+    stack = load_stack(text)
     fmin = parse_frequency(args.fmin)
     fmax = parse_frequency(args.fmax)
     grid = FrequencyGrid(fmin, fmax, args.points)
@@ -193,14 +210,15 @@ def cmd_simulate(args) -> int:
     for b, curve in curves.items():
         export_spectrum_csv(curve, out / f"spectrum_{b}.csv")
     export_modes_csv(modes, out / "modes.csv")
-    write_manifest(out, "simulate", config, {"stack": stack_path}, outputs,
-                   extras)
+    write_manifest(out, "simulate", config, {"stack": (stack_path, digest)},
+                   outputs, extras)
     return 0
 
 
 def cmd_sweep(args) -> int:
     stack_path = pathlib.Path(args.stack)
-    stack = load_stack(stack_path.read_text(encoding="utf-8"))
+    text, digest = _read_input(stack_path)
+    stack = load_stack(text)
     lo, hi = parse_ratio_range(args.range)
     fmin, fmax = parse_band(args.band)
     ip = stack.piezo_index
@@ -244,14 +262,15 @@ def cmd_sweep(args) -> int:
         extras[key] = f"{result.fom[j, i, mode]:.17g}"
         extras[f"{key}.t_bot_m"] = f"{result.bottom_thicknesses[j]:.17g}"
         extras[f"{key}.t_top_m"] = f"{result.top_thicknesses[i]:.17g}"
-    write_manifest(out, "sweep", config, {"stack": stack_path}, outputs,
-                   extras)
+    write_manifest(out, "sweep", config, {"stack": (stack_path, digest)},
+                   outputs, extras)
     return 0
 
 
 def cmd_fit(args) -> int:
     s2p_path = pathlib.Path(args.s2p)
-    data = parse_touchstone(s2p_path.read_text(encoding="utf-8"))
+    text, digest = _read_input(s2p_path)
+    data = parse_touchstone(text)
     lo, hi = parse_band(args.band)
     curve = transmission_admittance(data, topology=args.topology)
     rep = fit_mbvd(curve, band=(lo, hi))
@@ -266,7 +285,8 @@ def cmd_fit(args) -> int:
     config = {"s2p": args.s2p, "band": args.band, "topology": args.topology}
     extras = {"converged": "true" if rep.converged else "false",
               "residual": f"{rep.residual:.17g}"}
-    write_manifest(out, "fit", config, {"s2p": s2p_path}, outputs, extras)
+    write_manifest(out, "fit", config, {"s2p": (s2p_path, digest)}, outputs,
+                   extras)
     return 0 if rep.converged else 5
 
 

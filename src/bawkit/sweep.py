@@ -15,7 +15,6 @@ bit-identical for any worker count.
 
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -228,12 +227,6 @@ def _ramp_colors(t) -> list[str]:
     return ["#{:02x}{:02x}{:02x}".format(*c) for c in rgb.tolist()]
 
 
-@functools.cache
-def _legend_fills() -> tuple[str, ...]:
-    """The 64 legend steps' colors, from t = 1 at the top to t = 0."""
-    return tuple(_ramp_colors((63 - np.arange(64)) / 63))
-
-
 def render_heatmap(result: SweepResult, metric: str, mode: int, path) -> None:
     """Write a standalone SVG heatmap of one metric plane.
 
@@ -275,11 +268,15 @@ def render_heatmap(result: SweepResult, metric: str, mode: int, path) -> None:
     out = []
     out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" '
                f'height="{h}" viewBox="0 0 {w} {h}">')
+    # the legend's gradient: the ramp's stops, bottom to top, in sRGB
+    stops = "".join(f'<stop offset="{t:g}" stop-color="{fill}"/>' for t, fill
+                    in zip((0, 0.5, 1), _ramp_colors([0.0, 0.5, 1.0])))
     out.append('<defs><pattern id="hatch" width="6" height="6" '
                'patternUnits="userSpaceOnUse">'
                '<rect width="6" height="6" fill="#d8d8d8"/>'
                '<path d="M0,6 L6,0" stroke="#707070" stroke-width="1"/>'
-               '</pattern></defs>')
+               '</pattern><linearGradient id="ramp" x1="0" y1="1" x2="0" '
+               f'y2="0">{stops}</linearGradient></defs>')
     out.append(f'<rect width="{w}" height="{h}" fill="#ffffff"/>')
     out.append(f'<text x="{m_left}" y="24" font-family="monospace" '
                f'font-size="14" fill="#000000">{metric} mode {mode}</text>')
@@ -316,14 +313,11 @@ def render_heatmap(result: SweepResult, metric: str, mode: int, path) -> None:
                f'text-anchor="middle" {ax_font} transform="rotate(-90 14 '
                f'{m_top + nt * cell / 2.0:.1f})">t_top / t_piezo</text>')
 
-    # legend: 64-step vertical ramp, max at the top
+    # legend: the ramp itself, max at the top
     lx = m_left + nt * cell + 18
     lh = nb * cell
-    steps = len(_legend_fills())
-    for s, fill in enumerate(_legend_fills()):
-        y0 = m_top + s * lh / steps
-        out.append(f'<rect x="{lx}" y="{y0:.2f}" width="14" '
-                   f'height="{lh / steps + 0.5:.2f}" fill="{fill}"/>')
+    out.append(f'<rect x="{lx}" y="{m_top}" width="14" height="{lh}" '
+               f'fill="url(#ramp)"/>')
     out.append(f'<text x="{lx + 18}" y="{m_top + 8}" {ax_font}>'
                f'{vmax:.3g}</text>')
     out.append(f'<text x="{lx + 18}" y="{m_top + lh}" {ax_font}>'

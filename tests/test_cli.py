@@ -1,6 +1,7 @@
 """Command-line behavior: flags, exit codes, files, determinism."""
 
 import csv
+import hashlib
 import importlib.resources
 import os
 import pathlib
@@ -514,6 +515,66 @@ def test_sweep_uncovered_band_exits_4(stack_file, tmp_path, capsys):
                      "--band-points", "301", "--out", str(tmp_path / "x")])
     assert code == 4
     assert "band" in capsys.readouterr().err
+
+
+# -- input files -------------------------------------------------------------
+
+@pytest.mark.parametrize("flag, head, offset, argv", [
+    ("--s2p", b"! 25 \xb0C\n", 5, ["fit", "--band", "12.5:14"]),
+    ("--stack", b"# \xff\n", 2, ["simulate", "--fmin", "3GHz", "--fmax",
+                                 "15GHz", "--points", "101"])],
+    ids=["latin1-s2p", "0xff-stack"])
+def test_input_that_is_not_utf8_is_a_usage_error(stack_file, tmp_path, capsys,
+                                                 flag, head, offset, argv):
+    """Bytes that do not decode as UTF-8 exit 2 with an error that names
+    the file and the offset, and write nothing."""
+    source = pathlib.Path(fixture_path() if flag == "--s2p" else stack_file)
+    bad = tmp_path / f"bad{source.suffix}"
+    bad.write_bytes(head + source.read_bytes())
+    out = tmp_path / "out"
+    assert cli.main(argv + [flag, str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and f"byte offset {offset}" in err
+    assert not out.exists()
+
+
+def test_fit_skips_a_byte_order_mark(tmp_path, capsys):
+    """A Touchstone file that starts with a UTF-8 byte-order mark fits to
+    the plain file's report and curve, byte for byte."""
+    bom = tmp_path / "bom.s2p"
+    bom.write_bytes(b"\xef\xbb\xbf"
+                    + pathlib.Path(fixture_path()).read_bytes())
+    for s2p, out in ((fixture_path(), "plain"), (bom, "bom")):
+        assert cli.main(["fit", "--s2p", str(s2p), "--band", "12.5:14",
+                         "--out", str(tmp_path / out)]) == 0
+    for name in ("fit_report.txt", "fit_curve.csv"):
+        assert (tmp_path / "plain" / name).read_bytes() == (
+            tmp_path / "bom" / name).read_bytes()
+    capsys.readouterr()
+
+
+def test_manifest_holds_a_path_that_is_not_utf8(stack_file, tmp_path,
+                                                capsys):
+    """A stack under a name that is not UTF-8 runs, and the manifest holds
+    the name's own bytes and the digest of its lines.  A re-run into the
+    same directory reads that manifest and removes the outputs it does
+    not write again."""
+    stack = tmp_path / os.fsdecode(b"caf\xe9.yaml")
+    try:
+        stack.write_bytes(stack_file.read_bytes())
+    except (OSError, UnicodeError):
+        pytest.skip("the file system refuses a name that is not UTF-8")
+    out = tmp_path / "out"
+    args = ["simulate", "--stack", str(stack), "--fmin", "3GHz", "--fmax",
+            "15GHz", "--points", "101", "--out", str(out)]
+    assert cli.main(args + ["--backend", "both"]) == 0
+    lines = (out / "manifest.txt").read_bytes().splitlines(keepends=True)
+    assert b"input.stack.path: " + os.fsencode(stack) + b"\n" in lines
+    assert lines[-1] == b"manifest_sha256: " + hashlib.sha256(
+        b"".join(lines[:-2])).hexdigest().encode() + b"\n"
+    assert cli.main(args + ["--backend", "bvp"]) == 0
+    assert not (out / "spectrum_mason.csv").exists()
+    capsys.readouterr()
 
 
 # -- fit ---------------------------------------------------------------------

@@ -1,22 +1,25 @@
 """Mode detection, keff2, Qm mixing, design estimator."""
 
+import ast
 import csv
 import functools
 import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bawkit import (ConfigError, FrequencyGrid, ModeSearchError,
+from bawkit import (ConfigError, FrequencyGrid, ModeSearchError, acoustic1d,
                     admittance_bvp, admittance_mason,
                     calibrate_piezo_stiffness, derive_constants,
                     estimate_frequency, estimate_thickness, export_modes_csv,
                     find_modes, keff2, modal, mode_count, qm_from_partition)
-from bawkit.acoustic1d import EnergyPartition, _open_circuit_modes
+from bawkit.acoustic1d import EnergyPartition
 from bawkit.materials import Layer, Stack
+from bawkit.modal import _open_circuit_modes
 
 from conftest import (AREA_30UM, CAL_BAND, make_metal, make_piezo, plate,
                       quadrature_energies, random_stack)
@@ -937,6 +940,19 @@ def test_mode_count_is_finite_or_config_error(nominal):
     with pytest.raises(ConfigError, match="not finite"):
         find_modes(huge, FrequencyGrid(1.5e9, 34e9, 2), 3)
 
+
+def test_modal_alone_numbers_the_modes():
+    """The open-circuit count lives in modal, and modal takes only public
+    names from acoustic1d."""
+    tree = ast.parse(pathlib.Path(modal.__file__).read_text(encoding="utf-8"))
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and node.module == "acoustic1d" for alias in node.names]
+    assert names and not [n for n in names if n.startswith("_")]
+    for name in ("_prufer_layers", "_interface", "_prufer_phase",
+                 "_coupling_weight", "_open_circuit_theta",
+                 "_open_circuit_modes"):
+        assert hasattr(modal, name) and not hasattr(acoustic1d, name), name
 
 def test_inert_band_raises_instead_of_walking_it(nominal):
     """A 250 m top layer puts billions of open-circuit roots in the band,

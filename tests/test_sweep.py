@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import xml.etree.ElementTree as ET
 from dataclasses import replace
 
 import numpy as np
@@ -288,8 +289,8 @@ def ramp_color(t):
 
 
 def test_ramp_colors_match_scalar_ramp():
-    """Every t = k/512, where channels land on exact halves, the 64
-    legend steps, random t and t outside [0, 1]."""
+    """Every t = k/512, where channels land on exact halves, 64 steps
+    from 1 to 0, random t and t outside [0, 1]."""
     t = np.concatenate((np.arange(513) / 512, (63 - np.arange(64)) / 63,
                         np.random.default_rng(9).random(2000),
                         [-0.5, -0.0, 1.5]))
@@ -323,6 +324,27 @@ def test_heatmap_real_grid_single_max(grid4, tmp_path):
     fills = cell_fills(path.read_text())
     assert len(fills) == 16
     assert fills.count(TOP_COLOR) == 1
+
+
+def test_heatmap_legend_is_the_ramp_itself(grid4, tmp_path):
+    """The legend is one rect filled by a gradient whose stops, bottom to
+    top, are the ramp's, spanning the grid's height."""
+    path = tmp_path / "k.svg"
+    render_heatmap(grid4, "keff2_norm", 0, path)
+    ns = {"s": "http://www.w3.org/2000/svg"}
+    root = ET.parse(path).getroot()
+    rects = root.findall(".//s:rect", ns)
+    legend = [r for r in rects if r.get("fill") == "url(#ramp)"]
+    # 16 cells, the hatch tile, the background and the legend
+    assert len(rects) == 19 and len(legend) == 1
+    assert legend[0].get("height") == str(4 * 18)
+    ramp = root.find(".//s:linearGradient[@id='ramp']", ns)
+    assert [ramp.get(k) for k in ("x1", "y1", "x2", "y2")] == [
+        "0", "1", "0", "0"]
+    assert [(float(stop.get("offset")), stop.get("stop-color"))
+            for stop in ramp.findall("s:stop", ns)] == [
+        (k / 2, "#{:02x}{:02x}{:02x}".format(*rgb))
+        for k, rgb in enumerate(_RAMP_STOPS)]
 
 
 def test_heatmap_deterministic_bytes(grid4, tmp_path):
