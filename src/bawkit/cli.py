@@ -1,10 +1,11 @@
 """Command-line front end: simulate, sweep, fit, estimate.
 
 Every file-producing subcommand also writes a manifest.txt recording the
-resolved configuration, input digests, and output names; the manifest's own
-digest excludes the timestamp line, so re-running with identical inputs
-reproduces it bit for bit.  A run into a used directory first removes the
-outputs that the old manifest lists and that it will not write again.
+resolved configuration, input digests, and output names, one line per key;
+the manifest's own digest excludes the timestamp line, so re-running with
+identical inputs reproduces it bit for bit.  A run into a used directory
+first removes the outputs that the old manifest lists and that it will not
+write again.
 Exit codes: 0 success, 2 configuration/usage/parse errors, 3 physics
 errors, 4 insufficient band coverage in a sweep, 5 fit non-convergence
 (the report is still written).
@@ -13,6 +14,7 @@ errors, 4 insufficient band coverage in a sweep, 5 fit non-convergence
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import math
 import pathlib
@@ -28,9 +30,9 @@ from ._csvfloat import write_file
 from .acoustic1d import (AdmittanceCurve, FrequencyGrid, PhysicsError,
                          export_spectrum_csv, spectrum)
 from .materials import ConfigError, Stack, load_stack
-from .mbvd import (FREQUENCY_UNITS, ConversionError, TouchstoneError,
-                   _shift_exponent, export_fit_curve_csv, fit_mbvd,
-                   format_fit_report, parse_touchstone,
+from .mbvd import (FREQUENCY_UNITS, TOPOLOGIES, ConversionError,
+                   TouchstoneError, _shift_exponent, export_fit_curve_csv,
+                   fit_mbvd, format_fit_report, parse_touchstone,
                    transmission_admittance)
 from .modal import (ModeSearchError, _coupled_roots,
                     calibrate_piezo_stiffness, estimate_frequency,
@@ -108,29 +110,39 @@ def _read_input(path: pathlib.Path) -> tuple[str, str]:
     return text.removeprefix("\ufeff"), hashlib.sha256(data).hexdigest()
 
 
-def write_manifest(out_dir: pathlib.Path, subcommand: str, config: dict,
+def manifest_lines(subcommand: str, config: dict,
                    inputs: dict[str, tuple[pathlib.Path, str]],
-                   outputs: list[str],
-                   extras: dict | None = None) -> pathlib.Path:
-    """Emit manifest.txt; its digest covers every line except the timestamp.
+                   outputs: list[str], extras: dict) -> list[str]:
+    """The lines of manifest.txt but its timestamp and digest, one per key.
 
-    inputs maps each name to (path, sha256).  A path that is not UTF-8 is
-    written as the bytes the file system holds (surrogateescape)."""
-    lines = [f"subcommand: {subcommand}", f"version: {__version__}"]
-    for key in sorted(config):
-        lines.append(f"config.{key}: {config[key]}")
+    inputs maps each name to (path, sha256).  A value holding a line break
+    (any that str.splitlines splits at) raises ConfigError naming it: it
+    could forge a line, such as an output: line whose file a later run
+    into the same directory removes.
+    """
+    items = [("subcommand", subcommand), ("version", __version__)]
+    items += [(f"config.{key}", config[key]) for key in sorted(config)]
     for name in sorted(inputs):
         p, digest = inputs[name]
-        lines.append(f"input.{name}.path: {p}")
-        lines.append(f"input.{name}.sha256: {digest}")
-    for name in sorted(outputs):
-        lines.append(f"output: {name}")
-    for key in sorted(extras or {}):
-        lines.append(f"{key}: {extras[key]}")
+        items += [(f"input.{name}.path", p), (f"input.{name}.sha256", digest)]
+    items += [("output", name) for name in sorted(outputs)]
+    items += [(key, extras[key]) for key in sorted(extras)]
+    lines = [f"{key}: {value}" for key, value in items]
+    for (key, value), line in zip(items, lines):
+        if line.splitlines() != [line]:
+            raise ConfigError(f"{key} {str(value)!r} holds a line break; "
+                              "the manifest keeps each value on one line")
+    return lines
+
+
+def write_manifest(out_dir: pathlib.Path, lines: list[str]) -> pathlib.Path:
+    """Emit manifest.txt: lines (manifest_lines), the timestamp, and a
+    digest of every line but the timestamp.  A path that is not UTF-8 is
+    written as the bytes the file system holds (surrogateescape)."""
     digest = hashlib.sha256(("\n".join(lines) + "\n").encode(
         errors="surrogateescape")).hexdigest()
-    lines.append(f"timestamp: {datetime.now(timezone.utc).isoformat()}")
-    lines.append(f"manifest_sha256: {digest}")
+    lines = [*lines, f"timestamp: {datetime.now(timezone.utc).isoformat()}",
+             f"manifest_sha256: {digest}"]
     path = out_dir / "manifest.txt"
     write_file(path, ("\n".join(lines) + "\n").encode(
         errors="surrogateescape"))
@@ -206,12 +218,13 @@ def cmd_simulate(args) -> int:
         extras["max_backend_rel_deviation"] = f"{dev:.17g}"
 
     outputs = [f"spectrum_{b}.csv" for b in curves] + ["modes.csv"]
+    lines = manifest_lines("simulate", config,
+                           {"stack": (stack_path, digest)}, outputs, extras)
     out = _ensure_out(args, outputs)
     for b, curve in curves.items():
         export_spectrum_csv(curve, out / f"spectrum_{b}.csv")
     export_modes_csv(modes, out / "modes.csv")
-    write_manifest(out, "simulate", config, {"stack": (stack_path, digest)},
-                   outputs, extras)
+    write_manifest(out, lines)
     return 0
 
 
@@ -225,12 +238,17 @@ def cmd_sweep(args) -> int:
     if ip == 0 or ip == len(stack.layers) - 1:
         raise ConfigError("sweep varies the layers adjacent to the piezo; "
                           "the stack needs one on each side")
-    band = FrequencyGrid(fmin, fmax, args.band_points)
-    thick = hi * stack.t_piezo
+    cfg = SweepConfig(base=stack,
+                      top_layer_index=ip + 1, bottom_layer_index=ip - 1,
+                      band=FrequencyGrid(fmin, fmax, args.band_points),
+                      ratio_min=lo, ratio_max=hi,
+                      grid_n=args.grid, n_modes=args.modes)
+    thick = float(cfg.thickness_axis()[-1])
     try:
-        _coupled_roots(stack.with_layer_thickness(ip - 1, thick)
-                       .with_layer_thickness(ip + 1, thick), fmin, fmax,
-                       args.modes)
+        _coupled_roots(
+            stack.with_layer_thickness(cfg.bottom_layer_index, thick)
+            .with_layer_thickness(cfg.top_layer_index, thick),
+            fmin, fmax, cfg.n_modes)
     except (ConfigError, ModeSearchError) as exc:
         raise ConfigError(f"--range {args.range}: at the thickest cell, "
                           f"{exc}") from None
@@ -239,20 +257,13 @@ def cmd_sweep(args) -> int:
               "band_points": args.band_points, "jobs": args.jobs,
               "heatmaps": args.heatmaps}
     extras = {}
-    stack = _calibrate(stack, band, args, config, extras)
-    cfg = SweepConfig(base=stack,
-                      top_layer_index=ip + 1, bottom_layer_index=ip - 1,
-                      band=band, ratio_min=lo, ratio_max=hi,
-                      grid_n=args.grid, n_modes=args.modes)
+    cfg = dataclasses.replace(
+        cfg, base=_calibrate(stack, cfg.band, args, config, extras))
     result = run_sweep(cfg, jobs=args.jobs)
     heatmaps = {f"heatmap_{metric}_mode{mode}.svg": (metric, mode)
                 for metric in HEATMAP_METRICS
                 for mode in range(cfg.n_modes)} if args.heatmaps else {}
     outputs = ["sweep.csv", *heatmaps]
-    out = _ensure_out(args, outputs)
-    export_sweep_csv(result, out / "sweep.csv")
-    for name, (metric, mode) in heatmaps.items():
-        render_heatmap(result, metric, mode, out / name)
     config["masked_cells"] = int(result.mask.sum())
     for mode in range(cfg.n_modes):
         # masked cells hold NaN, so the best is over the cells that solved
@@ -262,8 +273,13 @@ def cmd_sweep(args) -> int:
         extras[key] = f"{result.fom[j, i, mode]:.17g}"
         extras[f"{key}.t_bot_m"] = f"{result.bottom_thicknesses[j]:.17g}"
         extras[f"{key}.t_top_m"] = f"{result.top_thicknesses[i]:.17g}"
-    write_manifest(out, "sweep", config, {"stack": (stack_path, digest)},
-                   outputs, extras)
+    lines = manifest_lines("sweep", config, {"stack": (stack_path, digest)},
+                           outputs, extras)
+    out = _ensure_out(args, outputs)
+    export_sweep_csv(result, out / "sweep.csv")
+    for name, (metric, mode) in heatmaps.items():
+        render_heatmap(result, metric, mode, out / name)
+    write_manifest(out, lines)
     return 0
 
 
@@ -273,20 +289,20 @@ def cmd_fit(args) -> int:
     data = parse_touchstone(text)
     lo, hi = parse_band(args.band)
     curve = transmission_admittance(data, topology=args.topology)
-    rep = fit_mbvd(curve, band=(lo, hi))
-
     keep = (curve.frequencies >= lo) & (curve.frequencies <= hi)
     fitted = AdmittanceCurve(frequencies=curve.frequencies[keep],
                              y=curve.y[keep])
+    rep = fit_mbvd(fitted)
     outputs = ["fit_report.txt", "fit_curve.csv"]
-    out = _ensure_out(args, outputs)
-    write_file(out / "fit_report.txt", format_fit_report(rep).encode())
-    export_fit_curve_csv(fitted, rep, out / "fit_curve.csv")
     config = {"s2p": args.s2p, "band": args.band, "topology": args.topology}
     extras = {"converged": "true" if rep.converged else "false",
               "residual": f"{rep.residual:.17g}"}
-    write_manifest(out, "fit", config, {"s2p": (s2p_path, digest)}, outputs,
-                   extras)
+    lines = manifest_lines("fit", config, {"s2p": (s2p_path, digest)},
+                           outputs, extras)
+    out = _ensure_out(args, outputs)
+    write_file(out / "fit_report.txt", format_fit_report(rep).encode())
+    export_fit_curve_csv(fitted, rep, out / "fit_curve.csv")
+    write_manifest(out, lines)
     return 0 if rep.converged else 5
 
 
@@ -361,8 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s2p", required=True, help="Touchstone v1 .s2p file")
     p.add_argument("--band", required=True,
                    help=f"fit band <fmin>:<fmax> ({freq_help})")
-    p.add_argument("--topology", choices=("series", "shunt"),
-                   default="series",
+    p.add_argument("--topology", choices=TOPOLOGIES, default="series",
                    help="device embedding: series uses -Y12, shunt Y11")
     p.add_argument("--out", default="out", help="output directory")
     p.set_defaults(func=cmd_fit)

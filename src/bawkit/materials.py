@@ -138,7 +138,10 @@ class Layer:
 
 @dataclass(frozen=True)
 class Stack:
-    """An ordered layer stack (bottom to top) with electrical context."""
+    """An ordered layer stack (bottom to top) with electrical context.
+
+    piezo_index, the index of its one piezo layer, is set on construction.
+    """
 
     layers: tuple[Layer, ...]
     area: float
@@ -150,10 +153,12 @@ class Stack:
         object.__setattr__(self, "layers", tuple(self.layers))
         if not self.layers:
             raise ConfigError("stack must contain at least one layer")
-        n_piezo = sum(1 for lay in self.layers if lay.role == "piezo")
+        roles = [lay.role for lay in self.layers]
+        n_piezo = roles.count("piezo")
         if n_piezo != 1:
             raise ConfigError(
                 f"stack must contain exactly one piezo layer, got {n_piezo}")
+        object.__setattr__(self, "piezo_index", roles.index("piezo"))
         if not 0 < self.area < math.inf:
             raise ConfigError(
                 f"area_m2 must be finite and > 0, got {self.area!r}")
@@ -166,13 +171,6 @@ class Stack:
                 raise ConfigError(
                     f"boundary.{side} must be one of {BOUNDARY_KINDS}, "
                     f"got {kind!r}")
-
-    @property
-    def piezo_index(self) -> int:
-        for i, lay in enumerate(self.layers):
-            if lay.role == "piezo":
-                return i
-        raise ConfigError("stack has no piezo layer")  # unreachable
 
     @property
     def t_piezo(self) -> float:
@@ -274,13 +272,13 @@ def _check_keys(mapping: dict, allowed, where: str):
         raise ConfigError(f"{where}: unknown keys {unknown}")
 
 
-def parse_materials_table(table: dict, where: str = "materials") -> dict[str, Material]:
+def parse_materials_table(table: dict) -> dict[str, Material]:
     """Parse a {name: fields} material table into Material records."""
     if not isinstance(table, dict) or not table:
-        raise ConfigError(f"{where} must be a non-empty mapping")
+        raise ConfigError("materials must be a non-empty mapping")
     out = {}
     for name, entry in table.items():
-        here = f"{where}.{name}"
+        here = f"materials.{name}"
         _check_keys(entry, _MATERIAL_FIELDS, here)
         values = {}
         for key, field in _MATERIAL_FIELDS.items():

@@ -1,6 +1,7 @@
 """Command-line behavior: flags, exit codes, files, determinism."""
 
 import csv
+import dataclasses
 import hashlib
 import importlib.resources
 import os
@@ -454,7 +455,7 @@ def test_sweep_jobs_do_not_change_output(stack_file, tmp_path, capsys):
 
 
 def test_sweep_range_validation(stack_file, tmp_path, capsys):
-    for text in ("2.0:0.2", "0.2:inf", "inf:2", "0.2:nan"):
+    for text in ("2.0:0.2", "0.2:inf", "inf:2", "0.2:nan", "a:b"):
         out = tmp_path / "x"
         code = cli.main(["sweep", "--stack", str(stack_file),
                          "--range", text, "--band", "1.5:11",
@@ -506,6 +507,32 @@ def test_sweep_range_with_an_inert_thickest_cell(stack_file, tmp_path,
     assert code == 2
     err = capsys.readouterr().err
     assert "--range" in err and "open-circuit roots" in err
+    assert not out.exists()
+
+
+def test_sweep_needs_a_layer_on_each_side_of_the_piezo(tmp_path, capsys):
+    nominal = nominal_stack()
+    stack = tmp_path / "bottom_piezo.yaml"
+    stack.write_text(serialize_stack(dataclasses.replace(
+        nominal, layers=nominal.layers[1:])), encoding="utf-8")
+    out = tmp_path / "x"
+    assert cli.main(["sweep", "--stack", str(stack), "--band", "1.5:11",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: sweep varies the layers adjacent to the piezo; the stack "
+        "needs one on each side\n")
+    assert not out.exists()
+
+
+def test_sweep_grid_errors_come_before_calibration(stack_file, tmp_path,
+                                                   capsys):
+    """A grid the sweep cannot run is refused before the calibration
+    search, which here would fail on its unreachable target."""
+    out = tmp_path / "x"
+    assert cli.main(["sweep", "--stack", str(stack_file), "--grid", "1",
+                     "--band", "1.5:34", "--calibrate-fs", "40",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: grid_n must be >= 2, got 1\n"
     assert not out.exists()
 
 
@@ -575,6 +602,33 @@ def test_manifest_holds_a_path_that_is_not_utf8(stack_file, tmp_path,
     assert cli.main(args + ["--backend", "bvp"]) == 0
     assert not (out / "spectrum_mason.csv").exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r", "\u2028"], ids=["lf", "cr", "ls"])
+@pytest.mark.parametrize("flag", ["--stack", "--s2p"])
+def test_manifest_value_with_a_line_break_is_refused(stack_file, tmp_path,
+                                                     capsys, flag, brk):
+    """An input path holding a line break would forge an output: line in
+    the manifest, and the next run into the same directory would remove
+    the file it names.  Each run exits 2 naming the path, before any file
+    is written, and the planted file survives."""
+    source = pathlib.Path(fixture_path() if flag == "--s2p" else stack_file)
+    bad = tmp_path / f"x{brk}output: victim.csv"
+    try:
+        bad.write_bytes(source.read_bytes())
+    except (OSError, UnicodeError):
+        pytest.skip("the file system refuses a name with a line break")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "victim.csv").write_text("keep\n")
+    argv = (["fit", "--band", "12.5:14"] if flag == "--s2p" else
+            ["simulate", "--fmin", "3GHz", "--fmax", "15GHz", "--points",
+             "101"])
+    for _ in range(2):
+        assert cli.main(argv + [flag, str(bad), "--out", str(out)]) == 2
+        assert repr(str(bad)) in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["victim.csv"]
+    assert (out / "victim.csv").read_text() == "keep\n"
 
 
 # -- fit ---------------------------------------------------------------------

@@ -254,6 +254,72 @@ def test_load_stack_rejects_garbage():
         load_stack("layers: []\n")
 
 
+# one piezo layer; each case below edits one line of it
+MINIMAL_STACK = """\
+area_m2: 1.0e-9
+materials:
+  pz: {density: 3400, c33e: 2.5e11, q_mech: 2000, e33: 2.5, eps33s: 1.4e-10}
+layers:
+- {material: pz, thickness_nm: 250, role: piezo}
+"""
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("area_m2: 1.0e-9", "area_m2: true", "area_m2 must be a number, got True"),
+    ("area_m2: 1.0e-9", "area_m2: null", "area_m2 must be a number, got None"),
+    ("area_m2: 1.0e-9", "area_m2: big", "area_m2 must be a number, got 'big'"),
+    ("area_m2: 1.0e-9", "area_m2: [1]", "area_m2 must be a number, got [1]"),
+    ("area_m2: 1.0e-9", "area_m2: 1.0e-9\nboundary: 3",
+     "boundary must be a mapping"),
+    ("area_m2: 1.0e-9", "area_m2: 1.0e-9\ncolor: red",
+     "stack: unknown keys ['color']"),
+    ("materials:\n  pz: {density: 3400, c33e: 2.5e11, q_mech: 2000, e33: 2.5, "
+     "eps33s: 1.4e-10}", "materials: {}",
+     "materials must be a non-empty mapping"),
+    ("density: 3400, ", "", "materials.pz: missing required key 'density'"),
+    ("materials:\n  pz: {density: 3400, c33e: 2.5e11, q_mech: 2000, e33: 2.5, "
+     "eps33s: 1.4e-10}\n", "", "stack: missing required key 'materials'"),
+    ("layers:\n- {material: pz, thickness_nm: 250, role: piezo}\n", "",
+     "stack: missing required key 'layers'"),
+    ("layers:\n- {material: pz, thickness_nm: 250, role: piezo}",
+     "layers: []", "layers must be a non-empty list"),
+    (", role: piezo", "", "layers[0]: missing required key 'role'"),
+], ids=["bool", "null", "word", "list", "section-not-a-mapping",
+        "unknown-key", "empty-materials", "material-missing-key",
+        "no-materials", "no-layers", "empty-layers", "layer-missing-key"])
+def test_load_stack_refusals_name_their_key(old, new, message):
+    assert load_stack(MINIMAL_STACK).piezo_index == 0
+    assert MINIMAL_STACK.count(old) == 1
+    with pytest.raises(ConfigError) as err:
+        load_stack(MINIMAL_STACK.replace(old, new))
+    assert str(err.value) == message
+
+
+def test_load_stack_refuses_invalid_yaml():
+    with pytest.raises(ConfigError) as err:
+        load_stack("layers: [\n")
+    assert str(err.value).startswith("stack config is not valid YAML: ")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Stack(layers=(), area=AREA_30UM),
+     "stack must contain at least one layer"),
+    (lambda: Material(name="x", density=1e3, c33e=1e11, q_mech=100,
+                      eps33s=-1e-10),
+     "material 'x': eps33s must be >= 0"),
+    (lambda: serialize_stack(Stack(
+        layers=(Layer(make_metal("m"), 100e-9, "electrode"),
+                Layer(make_piezo(), 250e-9, "piezo"),
+                Layer(make_metal("m", density=2700.0), 100e-9, "electrode")),
+        area=AREA_30UM)),
+     "two different materials share the name 'm'"),
+], ids=["no-layers", "negative-eps33s", "shared-name"])
+def test_in_memory_refusals(build, message):
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert str(err.value) == message
+
+
 positive = st.floats(min_value=1e-30, max_value=1e30)
 
 

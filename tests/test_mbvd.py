@@ -235,6 +235,21 @@ def test_touchstone_data_rejects_bad_values(freqs, s_value, match):
                        s=np.full((2, 2, 2), s_value, dtype=complex), z0=50.0)
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"s": np.zeros((3, 2, 2))}, "need frequencies (n,) and s (n, 2, 2)"),
+    ({"frequencies": np.array([2e9, 1e9])},
+     "frequencies must be strictly increasing"),
+    ({"unit": "THZ"}, "unknown frequency unit 'THZ'"),
+    ({"data_format": "XY"}, "unknown data format 'XY'"),
+], ids=["shape", "order", "unit", "format"])
+def test_touchstone_data_refusals(changes, message):
+    fields = {"frequencies": np.array([1e9, 2e9]),
+              "s": np.zeros((2, 2, 2)), "z0": 50.0, **changes}
+    with pytest.raises(ConfigError) as err:
+        TouchstoneData(**fields)
+    assert str(err.value) == message
+
+
 @st.composite
 def float_literals(draw):
     """Decimal literals of Python's float() grammar: sign, 1-40 digits
@@ -532,6 +547,15 @@ def test_report_text_round_trip():
     assert vals["qs"] == pytest.approx(rep.qs, rel=1e-15)
     assert vals["cm_f"] == pytest.approx(rep.params.cm, rel=1e-15)
     assert vals["converged"] is True
+
+
+def test_fit_report_text_missing_a_key_is_refused():
+    text = format_fit_report(report(params_for(), residual=1e-9,
+                                    converged=True))
+    lines = [ln for ln in text.splitlines() if not ln.startswith("qs:")]
+    with pytest.raises(ConfigError) as err:
+        parse_fit_report("\n".join(lines))
+    assert str(err.value) == "fit report missing keys: ['qs']"
 
 
 # -- fit_mbvd ----------------------------------------------------------------

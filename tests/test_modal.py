@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import dataclasses
 import functools
 import itertools
 import math
@@ -127,6 +128,16 @@ def test_qm_ignores_lossless_layers():
     # only the piezo share dissipates: Qm = q_piezo / eta
     assert qm_from_partition(part, stack) == pytest.approx(2000.0 / 0.5,
                                                            rel=1e-12)
+
+
+def test_qm_of_an_all_lossless_stack_is_infinite():
+    met = make_metal(lossless=True)
+    stack = Stack(layers=(Layer(met, 240e-9, "electrode"),
+                          Layer(make_piezo(lossless=True), 250e-9, "piezo"),
+                          Layer(met, 160e-9, "electrode")),
+                  area=AREA_30UM)
+    assert qm_from_partition(_partition(stack, (0.25, 0.5, 0.25)),
+                             stack) == math.inf
 
 
 def test_qm_rejects_degenerate_partitions():
@@ -441,6 +452,19 @@ def test_calibration_hits_target(calibrated):
     assert 0.5 < scale < 2.0
     mode = find_modes(stack, CAL_BAND, 1)[0]
     assert abs(mode.fs - 4.9e9) / 4.9e9 < 1e-8
+
+
+def test_calibration_refuses_a_mode_0_that_does_not_couple(nominal):
+    """A piezo whose e33 is zeroed in memory drives no mode: calibration
+    raises before any trial scale."""
+    ip = nominal.piezo_index
+    inert = dataclasses.replace(nominal.layers[ip].material, e33=0.0)
+    stack = dataclasses.replace(nominal, layers=tuple(
+        dataclasses.replace(lay, material=inert) if i == ip else lay
+        for i, lay in enumerate(nominal.layers)))
+    with pytest.raises(ModeSearchError) as err:
+        calibrate_piezo_stiffness(stack, 4.9e9, CAL_BAND)
+    assert str(err.value) == "mode 0 does not couple to the electrodes"
 
 
 # fundamentals 4.5-5.3 GHz, scales about 0.69-1.22 on the nominal stack

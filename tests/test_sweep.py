@@ -247,6 +247,18 @@ def synthetic_result():
         mask=mask)
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"qm": np.ones((2, 3, 1))},
+     "grid qm has shape (2, 3, 1), expected (2, 2, n_modes)"),
+    ({"mask": np.zeros((2, 3), dtype=bool)},
+     "mask shape does not match the grid"),
+], ids=["grid", "mask"])
+def test_result_refuses_a_grid_of_another_shape(changes, message):
+    with pytest.raises(ConfigError) as err:
+        replace(synthetic_result(), **changes)
+    assert str(err.value) == message
+
+
 def test_masked_cells_export_empty_metrics(tmp_path):
     result = synthetic_result()
     path = tmp_path / "masked.csv"
@@ -306,6 +318,16 @@ def test_heatmap_extremes_and_mask(tmp_path):
     assert fills.count("url(#hatch)") == 1
     assert fills.count(TOP_COLOR) == 1      # only the v == vmax cell
     assert BOTTOM_COLOR in fills            # v == 0 cell
+
+
+def test_heatmap_of_a_fully_masked_plane_is_refused(tmp_path):
+    result = synthetic_result()
+    path = tmp_path / "masked.svg"
+    with pytest.raises(ConfigError) as err:
+        render_heatmap(replace(result, mask=np.ones_like(result.mask)),
+                       "fom_norm", 0, path)
+    assert str(err.value) == "every cell is masked; nothing to render"
+    assert not path.exists()
 
 
 def test_heatmap_constant_plane_is_all_top_color(tmp_path):
