@@ -31,6 +31,7 @@ analytic in f and also take complex frequencies (real part > 0).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -128,6 +129,74 @@ class EnergyPartition:
 # BVP backend
 
 
+# numpy combines a 0-d array with an array faster than it converts a
+# Python number, and to the same result; so the scalars of every solve
+# are kept as 0-d arrays
+_TWO_PI = np.array(2.0 * math.pi)
+_J = np.array(1j)
+_ONE = np.array(1.0)
+
+
+def _bvp_scalars(stack: Stack, dc: DerivedConstants):
+    """The per-stack scalars of _bvp_solve and admittance_bvp, computed
+    once per DerivedConstants and kept on it (as derive_constants keeps
+    those on the stack).
+
+    Returns (u_scale, hd0, bottom, taus, layers, top, y_factors).
+    u_scale is the unit of the wave amplitudes, a float.  taus is the
+    (L, 1) array of every layer's t / v_star.  The rest are 0-d arrays:
+    hd0, the delta coefficient of the scaled stress rows times omega
+    (None without coupling); bottom and top, the coefficients of that
+    term in the bottom and top boundary rows; per layer (chi, interface),
+    chi the unit-voltage factor of the piezo (None elsewhere) and
+    interface the (1 + r) / 2, (1 - r) / 2 and delta coefficients of the
+    rows to the next layer (None for the top one); and y_factors,
+    (eps_star, t_piezo, area) for admittance_bvp.
+    """
+    cached = vars(dc).get("_bvp")
+    if cached is not None:
+        return cached
+    nlay = len(stack.layers)
+    ip = dc.piezo_index
+    piezo = stack.layers[ip]
+    pm = piezo.material
+
+    # Scales chosen so every coefficient is O(1/theta .. 1).
+    u_scale = pm.e33 / pm.c33d if pm.e33 != 0.0 else 1.0
+    zfac = [c / v for c, v in zip(dc.c_star, dc.v_star)]  # rho * v_star
+    sref = abs(zfac[ip])
+    s_lay = [z / sref * (1.0 if u_scale >= 0 else -1.0) for z in zfac]
+
+    # Coefficient of delta in the scaled stress rows, before the 1 / omega.
+    loss_fac = 1.0 - 1j * pm.tan_delta
+    hd0 = np.array(pm.e33 * loss_fac / (piezo.thickness * sref
+                                        * abs(u_scale))) \
+        if pm.e33 != 0.0 else None
+
+    layers = []
+    for i in range(nlay):
+        chi = np.array(pm.e33 * u_scale / dc.eps_star) if i == ip else None
+        interface = None
+        if i < nlay - 1:
+            # Interface rows: a' + b' = ea + eb (displacement) and
+            # a' - b' = r * (ea - eb) + j * c * delta / s_{i+1} (stress),
+            # with c = -hd on the piezo's top face and +hd on its bottom.
+            r = s_lay[i] / s_lay[i + 1]
+            dq = np.array((0.5j if i + 1 == ip else -0.5j) / s_lay[i + 1]) \
+                if ip in (i, i + 1) else None
+            interface = (np.array(0.5 + 0.5 * r), np.array(0.5 - 0.5 * r),
+                         dq)
+        layers.append((chi, interface))
+    taus = np.array([[lay.thickness / v]
+                     for lay, v in zip(stack.layers, dc.v_star)])
+    out = (u_scale, hd0, np.array(-1j / s_lay[0]), taus, tuple(layers),
+           np.array(1j / s_lay[-1]),
+           tuple(np.array(v) for v in (dc.eps_star, piezo.thickness,
+                                       stack.area)))
+    object.__setattr__(dc, "_bvp", out)
+    return out
+
+
 def _bvp_solve(stack: Stack, dc: DerivedConstants, freqs: np.ndarray):
     """Solve the layered BVP at each frequency by elimination.
 
@@ -140,87 +209,85 @@ def _bvp_solve(stack: Stack, dc: DerivedConstants, freqs: np.ndarray):
     row and the unit-voltage row close a 2x2 system per frequency,
     solved by Cramer's rule.  The BVP eliminates wave amplitudes while
     the Mason backend chains impedances, so the two stay independent.
+    The stack's own scalars come from _bvp_scalars, and the phase
+    factors of all layers from one exp.
 
-    Returns the elimination state (pq, alpha, delta, u_scale): pq[i] is
-    layer i's (P, Q) coefficient pair as two (2, n) arrays, one for each
-    of a_i and b_i, and alpha and delta are (n,) arrays.  Callers that
-    need the amplitudes assemble them with _wave_amplitudes.  At the
-    first frequency where alpha or delta is not finite, raises
-    SingularFrequencyError, or ConfigError when the stack is too thick
-    for the double range (_non_finite_error).
+    Returns the elimination state (pq, alpha, delta, u_scale, jomega):
+    pq[i] is layer i's (P, Q) coefficient pair as two (2, n) arrays, one
+    for each of a_i and b_i, alpha and delta are (n,) arrays, and jomega
+    is j 2 pi f.  Callers that need the amplitudes assemble them with
+    _wave_amplitudes.  At the first frequency where alpha or delta is
+    not finite, raises SingularFrequencyError, or ConfigError when the
+    stack is too thick for the double range (_non_finite_error).
     """
     n = freqs.shape[0]
-    nlay = len(stack.layers)
-    ip = dc.piezo_index
-    piezo = stack.layers[ip]
-    pm = piezo.material
-    omega = 2.0 * math.pi * freqs
-    jomega = 1j * omega
-
-    # Scales chosen so every coefficient is O(1/theta .. 1).
-    u_scale = pm.e33 / pm.c33d if pm.e33 != 0.0 else 1.0
-    zfac = [c / v for c, v in zip(dc.c_star, dc.v_star)]  # rho * v_star
-    sref = abs(zfac[ip])
-    s_lay = [z / sref * (1.0 if u_scale >= 0 else -1.0) for z in zfac]
-
-    # Coefficient of delta in the scaled stress rows.
-    loss_fac = 1.0 - 1j * pm.tan_delta
-    hd = pm.e33 * loss_fac / (piezo.thickness * sref * abs(u_scale)) / omega \
-        if pm.e33 != 0.0 else np.zeros(n, dtype=complex)
+    u_scale, hd0, bottom, taus, layers, top_coef, _ = _bvp_scalars(stack, dc)
+    omega = _TWO_PI * freqs
+    jomega = _J * omega
+    hd = hd0 / omega if hd0 is not None else np.zeros(n, dtype=complex)
 
     # pq[i] = (a_i, b_i), each a (2, n) array of the (P, Q) coefficients.
     # Layer 0 follows from the bottom boundary row: zero displacement, or
     # zero stress (with the piezoelectric term when the piezo is layer 0).
-    a0 = np.zeros((2, n), dtype=complex)
-    a0[0] = 1.0
-    b0 = -a0 if stack.boundary_bottom == "rigid" else a0.copy()
-    if stack.boundary_bottom == "free" and ip == 0:
-        b0[1] = (-1j / s_lay[0]) * hd
+    ab0 = np.zeros((2, 2, n), dtype=complex)
+    a0, b0 = ab0
+    if stack.boundary_bottom == "rigid":
+        a0[0] = 1.0
+        np.negative(a0, out=b0)
+    else:
+        ab0[:, 0] = 1.0
+        if dc.piezo_index == 0:
+            b0[1] = bottom * hd
     pq = [(a0, b0)]
 
     # the factors exp(+-j omega t / v_star) may leave the double range
     # in a thick lossy layer; _non_finite_error tells that apart
     with np.errstate(all="ignore"):
-        for i, lay in enumerate(stack.layers):
-            ep = np.exp(jomega * (lay.thickness / dc.v_star[i]))
-            em = 1.0 / ep
-            a, b = pq[i]
+        ep_all = np.exp(jomega * taus)
+        em_all = _ONE / ep_all
+        for ep, em, (chi, interface) in zip(ep_all, em_all, layers):
+            a, b = pq[-1]
             ea = em * a
             eb = ep * b
-            if i == ip:
+            if chi is not None:
                 # Unit-voltage row: delta - chi * (u(t_p) - u(0)) = 1.
-                chi = pm.e33 * u_scale / dc.eps_star
                 volt = chi * (a + b - ea - eb)
-                volt[1] += 1.0
-            if i == nlay - 1:
+                row = volt[1]
+                np.add(row, _ONE, out=row)
+            if interface is None:
                 break
-            # Interface rows: a' + b' = ea + eb (displacement) and
-            # a' - b' = r * (ea - eb) + j * c * delta / s_{i+1} (stress), with
-            # c = -hd on the piezo's top face and +hd on its bottom face.
-            r = s_lay[i] / s_lay[i + 1]
-            na = (0.5 + 0.5 * r) * ea + (0.5 - 0.5 * r) * eb
-            nb = (0.5 - 0.5 * r) * ea + (0.5 + 0.5 * r) * eb
-            if ip in (i, i + 1):
-                dq = (0.5j if i + 1 == ip else -0.5j) / s_lay[i + 1] * hd
-                na[1] += dq
-                nb[1] -= dq
+            plus, minus, dq = interface
+            na = plus * ea + minus * eb
+            nb = minus * ea + plus * eb
+            if dq is not None:
+                dq = dq * hd
+                row = na[1]
+                np.add(row, dq, out=row)
+                row = nb[1]
+                np.subtract(row, dq, out=row)
             pq.append((na, nb))
 
         # Top boundary row, last layer at z = t: zero stress or displacement.
         if stack.boundary_top == "free":
             top = ea - eb
-            if ip == nlay - 1:
-                top[1] -= (1j / s_lay[-1]) * hd
+            if chi is not None:
+                row = top[1]
+                np.subtract(row, top_coef * hd, out=row)
         else:
             top = ea + eb
 
-        det = top[0] * volt[1] - top[1] * volt[0]
-        alpha = -top[1] / det
-        delta = top[0] / det
-    bad = ~(np.isfinite(alpha) & np.isfinite(delta))
-    if bad.any():
-        raise _non_finite_error(stack, dc, freqs[np.argmax(bad)].item())
-    return pq, alpha, delta, u_scale
+        top_p, top_q = top
+        det = top_p * volt[1] - top_q * volt[0]
+        alpha = -top_q / det
+        delta = top_p / det
+        # one test for the common case: the sum is finite when both are,
+        # and when it overflows the test below finds nothing
+        finite = cmath.isfinite(np.add.reduce(alpha + delta))
+    if not finite:
+        bad = ~(np.isfinite(alpha) & np.isfinite(delta))
+        if bad.any():
+            raise _non_finite_error(stack, dc, freqs[np.argmax(bad)].item())
+    return pq, alpha, delta, u_scale, jomega
 
 
 def _wave_amplitudes(pq, alpha: np.ndarray, delta: np.ndarray,
@@ -291,12 +358,14 @@ def _kernel_frequencies(f) -> np.ndarray:
     kernels, strain_energy, field_profile, AdmittanceCurve and
     mbvd.mbvd_admittance go through it.
     """
-    freqs = np.atleast_1d(np.asarray(f))
-    freqs = freqs.astype(complex if np.iscomplexobj(freqs) else float,
+    freqs = np.asarray(f)
+    if freqs.ndim == 0:
+        freqs = freqs.reshape(1)
+    freqs = freqs.astype(complex if freqs.dtype.kind == "c" else float,
                          copy=False)
     if not np.isfinite(freqs).all():
         raise ConfigError("frequencies must be finite")
-    if np.any(freqs.real <= 0):
+    if not np.minimum.reduce(freqs.real, axis=None, initial=math.inf) > 0:
         raise ConfigError("frequencies must be > 0")
     return freqs
 
@@ -328,10 +397,10 @@ def admittance_bvp(stack: Stack, f) -> complex | np.ndarray:
     """
     freqs = _kernel_frequencies(f)
     dc = derive_constants(stack)
-    _, _, delta, _ = _bvp_solve(stack, dc, freqs)
-    t_p = stack.t_piezo
-    d_field = delta * dc.eps_star / t_p
-    y_raw = 1j * (2.0 * math.pi * freqs) * d_field * stack.area
+    _, _, delta, _, jomega = _bvp_solve(stack, dc, freqs)
+    eps_star, t_p, area = _bvp_scalars(stack, dc)[-1]
+    d_field = delta * eps_star / t_p
+    y_raw = jomega * d_field * area
     return _admittance(stack, y_raw, f)
 
 
@@ -468,7 +537,7 @@ def _wave_solution(stack: Stack, f):
     """
     freqs = _kernel_frequencies(_real_frequencies(f))
     dc = derive_constants(stack)
-    pq, alpha, delta, u_scale = _bvp_solve(stack, dc, freqs)
+    pq, alpha, delta, u_scale, _ = _bvp_solve(stack, dc, freqs)
     return (freqs, dc, delta,
             u_scale * _wave_amplitudes(pq, alpha, delta, freqs))
 

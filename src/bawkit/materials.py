@@ -62,14 +62,16 @@ class Material:
     def __post_init__(self):
         if not self.name:
             raise ConfigError("material name must be non-empty")
-        for key, field in _MATERIAL_FIELDS.items():
-            value, kind = getattr(self, key), type(field.default)
-            if kind in _KIND_WORDS:
+        for key, kind in _FIELD_KINDS:
+            value = getattr(self, key)
+            if kind is not None:
                 if not isinstance(value, kind):
                     raise ConfigError(
                         f"material {self.name!r}: {key} must be a "
                         f"{_KIND_WORDS[kind]}, got {value!r}")
-            elif not (isinstance(value, numbers.Real)
+            # a float is a numbers.Real: the faster test first
+            elif not ((type(value) is float
+                       or isinstance(value, numbers.Real))
                       and math.isfinite(value)):
                 raise ConfigError(f"material {self.name!r}: {key} must be a "
                                   f"finite number, got {value!r}")
@@ -110,6 +112,10 @@ class Material:
 # a material entry's keys; a bool or str default fixes the value's type
 _MATERIAL_FIELDS = {f.name: f for f in fields(Material) if f.name != "name"}
 _KIND_WORDS = {bool: "boolean", str: "string"}
+# (key, the type a bool or str default fixes, else None) of each field
+_FIELD_KINDS = tuple(
+    (key, type(f.default) if type(f.default) in _KIND_WORDS else None)
+    for key, f in _MATERIAL_FIELDS.items())
 
 
 @dataclass(frozen=True)
@@ -191,6 +197,8 @@ class DerivedConstants:
     layer and c33e elsewhere; the lossless flag zeroes the imaginary part.
     v_star = sqrt(c_star/rho) takes the principal branch, which makes
     forward-propagating waves decay under the exp(+j*omega*t) convention.
+    lossless is True when the stack has no loss at all: every layer is
+    lossless, the piezo's tan_delta is 0 and rs_electrical is 0.
     """
 
     c_star: tuple[complex, ...]
@@ -201,6 +209,7 @@ class DerivedConstants:
     h_piezo: float
     eps_star: complex
     piezo_index: int
+    lossless: bool = False
 
 
 def derive_constants(stack: Stack) -> DerivedConstants:
@@ -245,6 +254,8 @@ def derive_constants(stack: Stack) -> DerivedConstants:
         h_piezo=h,
         eps_star=eps_star,
         piezo_index=ip,
+        lossless=(all(lay.material.lossless for lay in stack.layers)
+                  and pm.tan_delta == 0.0 and stack.rs_electrical == 0.0),
     )
     object.__setattr__(stack, "_derived", dc)
     return dc

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from decimal import Decimal
@@ -120,25 +121,27 @@ def parse_touchstone(text: str) -> TouchstoneData:
     is rewritten as its literal in Hz (_hz_literal) and then converted in
     the same single float() pass as the S values.
     """
-    lines = text.splitlines()
-
-    def content(k: int) -> str:
+    def content(lines: list[str], k: int) -> str:
         return lines[k].partition("!")[0].strip()
 
-    def option_line(start: int) -> int | None:
+    def option_line(lines: list[str], start: int) -> int | None:
         return next((k for k in range(start, len(lines))
-                     if content(k).startswith("#")), None)
+                     if content(lines, k).startswith("#")), None)
 
-    # the option line must be the first line with content
-    first = next((k for k in range(len(lines)) if content(k)), 0)
-    opt = option_line(0)
-    if opt is None:
-        raise TouchstoneError(first + 1, "missing option line ('# ...')")
-    if opt > first:
+    # the option line must be the first line with content; the text is
+    # split into lines only to report an error
+    head = _first_content(text)
+    if head is None or not head[1].startswith("#"):
+        lines = text.splitlines()
+        first = next((k for k in range(len(lines)) if content(lines, k)), 0)
+        opt = option_line(lines, 0)
+        if opt is None:
+            raise TouchstoneError(first + 1, "missing option line ('# ...')")
         raise TouchstoneError(opt + 1, "option line after data")
+    opt, option, body_start = head
     unit, fmt, z0 = "GHZ", "MA", 50.0
     param = "S"
-    toks = content(opt)[1:].upper().split()
+    toks = option[1:].upper().split()
     i = 0
     while i < len(toks):
         t = toks[i]
@@ -167,27 +170,31 @@ def parse_touchstone(text: str) -> TouchstoneData:
         raise TouchstoneError(
             opt + 1, f"expected S-parameters, file declares {param!r}")
 
-    # every line after the option line is data: tokenize them all at once
-    body = lines[opt + 1:]
-    data = " ".join(body)
+    # every line after the option line is data: tokenize them all at once;
+    # each line break is whitespace to split(), so the lines are split
+    # apart only to drop their comments
+    data = text[body_start:]
     if "!" in data:
-        data = " ".join([ln.partition("!")[0] for ln in body])
-    again = option_line(opt + 1) if "#" in data else None
+        data = " ".join([ln.partition("!")[0] for ln in data.splitlines()])
+    again = option_line(text.splitlines(), opt + 1) if "#" in data else None
     if again is not None:
         raise TouchstoneError(again + 1, "duplicate option line")
     tokens = data.split()
     if not tokens:
-        raise TouchstoneError(len(lines), "no data records")
+        raise TouchstoneError(len(text.splitlines()), "no data records")
     if len(tokens) % 9 != 0:
-        last = next(k for k in reversed(range(len(lines))) if content(k))
+        lines = text.splitlines()
+        last = next(k for k in reversed(range(len(lines)))
+                    if content(lines, k))
         raise TouchstoneError(
             last + 1, f"two-port records need 9 columns per frequency; "
             f"got {len(tokens)} values total")
 
     def line_of(index: int) -> int:
         """Line of tokens[index]; looked up only to report an error."""
+        lines = text.splitlines()
         for k in range(opt + 1, len(lines)):
-            index -= len(content(k).split())
+            index -= len(content(lines, k).split())
             if index < 0:
                 return k + 1
 
@@ -235,6 +242,27 @@ def parse_touchstone(text: str) -> TouchstoneData:
     s = s_flat[:, [0, 2, 1, 3]].reshape(n, 2, 2)
     return TouchstoneData(frequencies=freqs, s=s, z0=z0, unit=unit,
                           data_format=fmt)
+
+
+# the line boundaries of str.splitlines()
+_LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _first_content(text: str) -> tuple[int, str, int] | None:
+    """(index, content, end) of the first line of text (as splitlines()
+    numbers them) with content, the line's text before any '!' stripped;
+    end is the offset just past its line break.  None when no line has
+    content."""
+    pos, k = 0, 0
+    while pos < len(text):
+        brk = _LINE_BREAK.search(text, pos)
+        stop, end = (brk.start(), brk.end()) if brk else (len(text),
+                                                          len(text))
+        content = text[pos:stop].partition("!")[0].strip()
+        if content:
+            return k, content, end
+        pos, k = end, k + 1
+    return None
 
 
 def _hz_literal(tok: str, exp: int) -> str:

@@ -21,8 +21,11 @@ it within a tenth of the tolerance of a step that stays inside the
 circle: on the nominal stack every root closes on the first pass after
 the seed circles, two kernel calls in all.  A mode whose coupling lies
 so far below 1/Qm that |Y| has no minimum is flagged coupling_null and
-reported by its lossless (fs, fp) pair.  eta and Qm of every mode come
-from one strain_energy call at all the fs values.
+reported by its lossless (fs, fp) pair.  A stack with no loss at all
+(DerivedConstants.lossless) has Re Y = 0 on the real axis, where neither
+root means anything: each of its modes takes the lossless pair, fs at
+the pole of Y and fp at its open-circuit root.  eta and Qm of every mode
+come from one strain_energy call at all the fs values.
 calibrate_piezo_stiffness runs the same search for mode 0, the first
 open-circuit root counted up from 0 Hz and walked to a limit the stack
 sets, without the energies, at each trial scale of a safeguarded secant
@@ -32,6 +35,7 @@ predict; the band is read once, to check the calibrated mode 0.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -41,7 +45,7 @@ import numpy as np
 from ._csvfloat import write_csv
 from .acoustic1d import EnergyPartition, FrequencyGrid, admittance_bvp, \
     admittance_mason, strain_energy
-from .materials import ConfigError, Stack, derive_constants
+from .materials import ConfigError, Layer, Stack, derive_constants
 
 # Y is sampled on a circle of _CIRCLE_POINTS points, radius
 # _CIRCLE_RADIUS * f, around each estimate f.  The circle must stay well
@@ -195,7 +199,8 @@ def _interface(phi: float, s: float) -> tuple[float, float, float]:
     same branch, with the sine and cosine of phi reduced to (-pi/2, pi/2]
     before it."""
     m = math.floor(phi / math.pi + 0.5) * math.pi
-    sin_p, cos_p = math.sin(phi - m), math.cos(phi - m)
+    d = phi - m
+    sin_p, cos_p = math.sin(d), math.cos(d)
     return m + math.atan2(s * sin_p, cos_p), sin_p, cos_p
 
 
@@ -208,14 +213,18 @@ def _prufer_phase(phi: float, steps, omega: float) -> tuple[float, float]:
     same branch.  phi is the phase at the bottom, and steps holds the
     (t / v, s) pair of each layer, with s = 0 for the top one.  The phase
     rises strictly with omega (Pryce, Numerical Solution of Sturm-Liouville
-    Problems, 1993).
+    Problems, 1993).  The interface step is _interface's, written out
+    here: the walk takes this loop about seven times a root.
     """
     dphi = 0.0
     for tau, s in steps:
         phi += omega * tau
         dphi += tau
         if s:
-            phi, sin_p, cos_p = _interface(phi, s)
+            m = math.floor(phi / math.pi + 0.5) * math.pi
+            d = phi - m
+            sin_p, cos_p = math.sin(d), math.cos(d)
+            phi = m + math.atan2(s * sin_p, cos_p)
             dphi *= s / (cos_p * cos_p + s * s * sin_p * sin_p)
     return phi, dphi
 
@@ -427,35 +436,38 @@ def _model_newton(coef: list, tail: tuple[float, float], x: float,
     return q0, fb, r * (abs(q) + err) / dq if dq > 0.0 else math.inf
 
 
-def _taylor_tails(c: np.ndarray):
+def _taylor_tails(c: np.ndarray) -> list[tuple[bool, tuple[float, float]]]:
     """The coefficients of order n/2 and up, which the model omits.
 
-    Returns, per row, True where they do not decay (a pole lies near or
+    Returns, per row, whether they do not decay (a pole lies near or
     inside the circle, which must shrink), and their sums sum_m |c_m| and
     sum_m m |c_m|: for |t| <= 1 these bound the omitted terms of Y and of
-    dY/dt, and the aliased ones, which are smaller still.
+    dY/dt, and the aliased ones, which are smaller still.  One reduceat
+    takes the largest kept and the largest omitted magnitude of each row.
     """
     mag = np.abs(c)
     order = _CIRCLE_POINTS // 2
     omitted = mag[:, order:]
-    too_wide = omitted.max(axis=1) > _TAIL_RATIO * mag[:, :order].max(axis=1)
-    return too_wide.tolist(), list(zip(
-        omitted.sum(axis=1).tolist(),
-        (omitted @ np.arange(order, mag.shape[1])).tolist()))
+    peaks = np.maximum.reduceat(mag, [0, order], axis=1).tolist()
+    return [(top > _TAIL_RATIO * kept, tail) for (kept, top), tail in zip(
+        peaks, zip(np.add.reduce(omitted, axis=1).tolist(),
+                   (omitted @ np.arange(order, mag.shape[1])).tolist()))]
 
 
-def _refine_roots(evaluate, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                  peak: np.ndarray, first: list, rel_tol: float):
+def _refine_roots(evaluate, x: list, lo: list, hi: list, peak: list,
+                  first: tuple[list, np.ndarray | None], rel_tol: float):
     """Refine every root from its start x in its bracket [lo, hi].
 
     A peak entry is an fs, the root of Re Y' (a maximum of Re Y); the
     others are fp, the root of Re(conj(Y) Y') (a minimum of |Y|).  Both
-    root functions rise through their root.
+    root functions rise through their root.  x, lo, hi and peak are
+    lists with one entry per root.
 
     Each pass takes the Taylor coefficients on the circles around all
-    open estimates in one call (_circle_taylor); first[b], unless None,
-    holds root b's coefficients for its first pass, already taken around
-    its start.  The sign of the root function at the centre
+    open estimates in one call (_circle_taylor); first is (given, c): the
+    roots given, in order, have the rows of c as the coefficients of
+    their first pass, already taken around their starts.  The sign of
+    the root function at the centre
     narrows the bracket, and Newton's method on the Taylor model of order
     n/2 - 1 (n = _CIRCLE_POINTS) gives the next estimate (_model_newton).
     Where it fails, the estimate bisects the bracket, or moves onto the
@@ -468,12 +480,12 @@ def _refine_roots(evaluate, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     most _CLOSE_FRACTION * rel_tol * f, or once its bracket is at most
     rel_tol * f wide; all close after _MAX_PASSES passes.
 
-    Returns the estimates and whether each was found: one that ends next
-    to a bracket end that no sign confirmed has no root in its bracket.
+    Returns the estimates and whether each was found, as lists: one that
+    ends next to a bracket end that no sign confirmed has no root in its
+    bracket.
     """
-    x, lo, hi = x.tolist(), lo.tolist(), hi.tolist()
+    x, lo, hi = list(x), list(lo), list(hi)
     radius = [_CIRCLE_RADIUS * f for f in x]
-    peak = peak.tolist()
     sure_lo, sure_hi = [False] * len(x), [False] * len(x)
     order = _CIRCLE_POINTS // 2
 
@@ -503,27 +515,28 @@ def _refine_roots(evaluate, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             x[b] = 0.5 * (lo[b] + hi[b])
         return hi[b] - lo[b] > rel_tol * x[b]
 
+    def one_pass(live, c) -> list:
+        """Step each live root on its row of c; the roots left open."""
+        return [b for b, coef, (too_wide, tail) in zip(
+            live, c[:, :order].tolist(), _taylor_tails(c))
+            if step(b, coef, too_wide, tail)]
+
+    given, c = first
     live = list(range(len(x)))
-    given = [b for b in live if first[b] is not None]
     if given:
-        c = np.array([first[b] for b in given])
-        done = {b for b, coef, too_wide, tail in zip(
-            given, c[:, :order].tolist(), *_taylor_tails(c))
-            if not step(b, coef, too_wide, tail)}
+        done = set(given).difference(one_pass(given, c))
         live = [b for b in live if b not in done]
     for _ in range(_MAX_PASSES):
         if not live:
             break
-        c = _circle_taylor(evaluate, np.array([x[b] for b in live]),
-                           np.array([radius[b] for b in live]))
-        live = [b for b, coef, too_wide, tail in zip(
-            live, c[:, :order].tolist(), *_taylor_tails(c))
-            if step(b, coef, too_wide, tail)]
+        live = one_pass(live, _circle_taylor(
+            evaluate, np.array([x[b] for b in live]),
+            np.array([radius[b] for b in live])))
     near = max(rel_tol, _REFINE_TOL)
     found = [not ((not sure_lo[b] and x[b] - lo[b] <= near * x[b])
                   or (not sure_hi[b] and hi[b] - x[b] <= near * x[b]))
              for b in range(len(x))]
-    return np.array(x), np.array(found)
+    return x, found
 
 
 def _lossless(stack: Stack) -> Stack:
@@ -596,7 +609,8 @@ def _coupled_roots(stack: Stack, f_min: float, f_max: float,
 def _search(stack: Stack, roots: list, backend: str, rel_tol: float):
     """(mode numbers, fs, fp, coupling-null flags) of the modes whose
     coupled open-circuit roots (mode number, f, weight) the caller gives:
-    _coupled_roots for a band, _mode0_root for mode 0.
+    _coupled_roots for a band, _mode0_root for mode 0.  Each is a list,
+    one entry per root.
 
     One circle call at all roots seeds the search: fp starts at the root,
     and that circle is its first pass; fs starts at the nearest pole of
@@ -604,48 +618,73 @@ def _search(stack: Stack, roots: list, backend: str, rel_tol: float):
     lie above its lossless root, so the roots do not bracket fs.  A mode
     whose lossy fs or fp has no root in its bracket is coupling-null: its
     coupling lies so far below 1/Qm that |Y| has no minimum.  Its fs and
-    fp are the lossless pair instead.
+    fp are the lossless pair instead.  The seed and the brackets are
+    worked out per root in Python floats, which round as numpy's do;
+    only the complex arithmetic runs in numpy.
+
+    A stack with no loss at all (DerivedConstants.lossless) has Re Y = 0
+    on the real axis, so neither root function means anything there:
+    every mode takes the lossless pair, fs the pole of Y (_lossless_fs)
+    and fp its open-circuit root, with no circle call.
 
     Raises ConfigError, before any kernel call, when (2 pi f_oc |C0|)^2
     is not finite at the highest root: Y ~ j omega C0 there, and the
     search squares |Y|.  Only layers far thinner than an atom put a root
     so high.
     """
-    f_top = max(root[1] for root in roots)
-    y_top = 2.0 * math.pi * f_top * abs(derive_constants(stack).c0)
+    numbers, f_oc, weight = (list(v) for v in zip(*roots))
+    dc = derive_constants(stack)
+    f_top = max(f_oc)
+    y_top = 2.0 * math.pi * f_top * abs(dc.c0)
     if not math.isfinite(y_top * y_top):
         thinnest = min(stack.layers, key=lambda lay: lay.thickness)
         raise ConfigError(
             f"the open-circuit root at {f_top:.6g} Hz puts (2 pi f |C0|)^2 "
             f"past the double range: the layers are too thin, the thinnest "
             f"{thinnest.material.name!r} at {thinnest.thickness!r} m")
-    numbers, f_oc, weight = (np.array(v) for v in zip(*roots))
+    k = len(f_oc)
+    if dc.lossless:
+        fs = _lossless_fs(stack, backend, np.array(f_oc), np.array(weight))
+        return numbers, fs.tolist(), f_oc, [False] * k
     evaluate = _kernel(stack, backend)
-    r = _CIRCLE_RADIUS * f_oc
-    c = _circle_taylor(evaluate, f_oc, r)
+    centre = np.array(f_oc)
+    r = _CIRCLE_RADIUS * centre
+    c = _circle_taylor(evaluate, centre, r)
     with np.errstate(all="ignore"):
-        pole = f_oc + r * c[:, 2] / c[:, 3]
-    pole = np.where(np.isfinite(pole), pole, f_oc)
-    fs0 = pole.real
-    # fs lies within twice the resonance's half-width |Im pole| of the
-    # pole, or at most as far from it as the root is; fp lies between
-    # the pole and the root plus that same margin
-    half = np.maximum(2.0 * np.abs(pole.imag), f_oc - fs0)
-    fp_hi = f_oc + half
-    at_root = (fs0 < f_oc) & (f_oc < fp_hi)
-    k = f_oc.size
+        poles = (centre + r * c[:, 2] / c[:, 3]).tolist()
+    x, lo, hi, fp_x, fp_lo, fp_hi, given = [], [], [], [], [], [], []
+    for j, (f, pole) in enumerate(zip(f_oc, poles)):
+        if not cmath.isfinite(pole):
+            pole = complex(f)
+        fs0 = pole.real
+        # fs lies within twice the resonance's half-width |Im pole| of
+        # the pole, or at most as far from it as the root is; fp lies
+        # between the pole and the root plus that same margin
+        half = max(2.0 * abs(pole.imag), f - fs0)
+        top = f + half
+        at_root = fs0 < f < top
+        if at_root:
+            given.append(j)
+        x.append(fs0)
+        lo.append(fs0 - half)
+        hi.append(fs0 + half)
+        fp_x.append(f if at_root else 0.5 * (fs0 + top))
+        fp_lo.append(fs0)
+        fp_hi.append(top)
+    seeds = c if len(given) == k else c[given]
     x, found = _refine_roots(
-        evaluate, np.concatenate((fs0, np.where(at_root, f_oc,
-                                                0.5 * (fs0 + fp_hi)))),
-        np.concatenate((fs0 - half, fs0)), np.concatenate((fs0 + half, fp_hi)),
-        np.arange(2 * k) < k,
-        [None] * k + [row if ok else None for row, ok in zip(c, at_root)],
-        rel_tol)
+        evaluate, x + fp_x, lo + fp_lo, hi + fp_hi, [True] * k + [False] * k,
+        ([k + j for j in given], seeds), rel_tol)
     fs, fp = x[:k], x[k:]
-    null = ~(found[:k] & found[k:] & (fp > fs))
-    if null.any():
-        fs[null] = _lossless_fs(stack, backend, f_oc[null], weight[null])
-        fp[null] = f_oc[null]
+    null = [not (found[j] and found[k + j] and fp[j] > fs[j])
+            for j in range(k)]
+    if any(null):
+        flagged = [j for j in range(k) if null[j]]
+        pairs = _lossless_fs(stack, backend,
+                             np.array([f_oc[j] for j in flagged]),
+                             np.array([weight[j] for j in flagged]))
+        for j, f in zip(flagged, pairs.tolist()):
+            fs[j], fp[j] = f, f_oc[j]
     return numbers, fs, fp, null
 
 
@@ -660,8 +699,9 @@ def find_modes(stack: Stack, band: FrequencyGrid, max_modes: int, *,
     no part.  fs and fp are refined as roots (see _refine_roots) until a
     Newton step is at most refine_tol relative, or until the Taylor
     model's error bound puts the root within refine_tol / 10 of a step
-    inside its sampling circle; a coupling-null mode reports its lossless
-    pair (see _search).  eta and Qm are evaluated at
+    inside its sampling circle; a coupling-null mode, and every mode of a
+    stack with no loss, reports its lossless pair (see _search).  eta and
+    Qm are evaluated at
     fs, for all modes in one strain_energy call, whatever the backend.
     keff2 is the IEEE definition.
     """
@@ -671,7 +711,7 @@ def find_modes(stack: Stack, band: FrequencyGrid, max_modes: int, *,
     if not roots:
         raise ModeSearchError("no resonance found in band")
     numbers, fs_all, fp_all, null = _search(stack, roots, backend, refine_tol)
-    pairs = list(zip(fs_all.tolist(), fp_all.tolist()))
+    pairs = list(zip(fs_all, fp_all))
     for fs, fp in pairs:
         if not fp > fs:
             raise ModeSearchError(
@@ -680,7 +720,7 @@ def find_modes(stack: Stack, band: FrequencyGrid, max_modes: int, *,
     partitions = strain_energy(stack, fs_all)
     modes = []
     for n, ((fs, fp), number, is_null, partition) in enumerate(zip(
-            pairs, numbers.tolist(), null.tolist(), partitions)):
+            pairs, numbers, null, partitions)):
         qm = qm_from_partition(partition, stack)
         k2 = keff2(fs, fp)
         modes.append(ModeSummary(
@@ -741,7 +781,7 @@ def _lowest_fs(stack: Stack) -> tuple[float, float]:
     """Mode 0's open-circuit root (_mode0_root) and its fs: find_modes'
     search, without Qm."""
     root = _mode0_root(stack)
-    return root[1], float(_search(stack, [root], "bvp", _REFINE_TOL)[1][0])
+    return root[1], _search(stack, [root], "bvp", _REFINE_TOL)[1][0]
 
 
 def _mode0_estimate(stack: Stack) -> float:
@@ -787,13 +827,16 @@ def calibrate_piezo_stiffness(stack: Stack, target_fs: float,
         raise ConfigError(
             f"target fs must be finite and > 0, got {target_fs!r} Hz")
     ip = stack.piezo_index
-    base_mat = stack.layers[ip].material
+    piezo = stack.layers[ip]
+    below, above = stack.layers[:ip], stack.layers[ip + 1:]
 
     def rescaled(scale: float) -> Stack:
-        mat = replace(base_mat, c33e=base_mat.c33e * scale)
-        layers = list(stack.layers)
-        layers[ip] = replace(layers[ip], material=mat)
-        return replace(stack, layers=tuple(layers))
+        # the layer and the stack from their constructors, which check
+        # what replace would at a fraction of its cost
+        mat = replace(piezo.material, c33e=piezo.material.c33e * scale)
+        return Stack(below + (Layer(mat, piezo.thickness, piezo.role),)
+                     + above, stack.area, stack.rs_electrical,
+                     stack.boundary_bottom, stack.boundary_top)
 
     lo, hi = math.log(_SCALE_MIN), math.log(_SCALE_MAX)
     e0 = _mode0_estimate(stack)

@@ -279,7 +279,7 @@ def _dense_bvp_reference(stack, freqs):
 def _bvp_unknowns(stack, dc, freqs):
     """The elimination's (n, 2L+1) unknowns: every layer's scaled (a, b)
     pair from the amplitude assembly, then delta."""
-    pq, alpha, delta, _ = _bvp_solve(stack, dc, freqs)
+    pq, alpha, delta, _, _ = _bvp_solve(stack, dc, freqs)
     amps = _wave_amplitudes(pq, alpha, delta, freqs)
     return np.vstack([amps.reshape(-1, freqs.size), delta]).T
 
